@@ -210,9 +210,9 @@ pub(crate) fn encode_layers(
 /// A streaming decoder over an owned payload: the header (pair-set
 /// descriptor) is validated up front by [`LayerDecoder::new`], then
 /// [`LayerDecoder::next_layer`] materializes one layer at a time — so
-/// the pipelined builder can hand layer *n* to a waiting simulation
-/// thread while layer *n + 1* is still being parsed, exactly mirroring
-/// how a cold build streams layers out of the encoder. Every read is
+/// the build loop can hand layer *n* to a waiting simulation thread
+/// while layer *n + 1* is still being parsed, exactly mirroring how a
+/// cold build streams layers out of the encoder. Every read is
 /// bounds-checked so stale or foreign bytes fail closed (`None`)
 /// instead of panicking.
 pub(crate) struct LayerDecoder {
@@ -322,27 +322,10 @@ impl LayerDecoder {
     }
 
     /// `true` once every expected layer decoded and no trailing bytes
-    /// remain — the whole-payload validity check a batch decode
-    /// enforces before trusting the entry.
+    /// remain — only then does the build count the entry as a hit.
     pub(crate) fn fully_consumed(&self) -> bool {
         self.next == self.dims.len() && self.pos == self.payload.len()
     }
-}
-
-/// Inverse of [`encode_layers`]: the batch (all-layers-at-once) decode,
-/// used where nothing overlaps the load. `None` on any mismatch — the
-/// caller re-encodes from the workload.
-pub(crate) fn decode_layers(
-    payload: Vec<u8>,
-    wanted: &[(EncodingKey, SchedulerConfig)],
-    dims: &[pra_tensor::Dim3],
-) -> Option<Vec<SharedLayer>> {
-    let mut d = LayerDecoder::new(payload, wanted, dims)?;
-    let mut layers = Vec::with_capacity(dims.len());
-    for _ in dims {
-        layers.push(d.next_layer()?);
-    }
-    d.fully_consumed().then_some(layers)
 }
 
 #[cfg(test)]

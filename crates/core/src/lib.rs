@@ -60,10 +60,9 @@ pub use column::{ScanOrder, SchedulerConfig};
 pub use config::{Encoding, EncodingKey, Fidelity, PraConfig, SyncPolicy};
 pub use schedule::{EncodedLayer, LayerScheduler};
 pub use shared::{
-    ArtifactPool, PipelinedBuild, PoolOutcome, SharedEncodedNetwork, StoreOutcomes, TRAFFIC_KIND,
-    TRAFFIC_VERSION,
+    ArtifactPool, Artifacts, PipelinedBuild, PoolClaim, SharedEncodedNetwork, StoreOutcomes,
+    TRAFFIC_KIND, TRAFFIC_VERSION,
 };
 pub use sim::{
-    run, run_pipelined, run_shared, run_shared_streaming, simulate_layer, simulate_layer_raw,
-    simulate_layer_shared, simulate_layer_view,
+    run, run_shared, simulate_layer, simulate_layer_raw, simulate_layer_shared, simulate_layer_view,
 };

@@ -30,21 +30,22 @@
 //!   `crate::artifact`) — neuron-value dependent, keyed over the
 //!   workload's content address, shared across fidelities.
 //!
-//! [`SharedEncodedNetwork::from_workload_stored`] resolves both tiers
-//! (pool → disk → generate is completed by [`ArtifactPool`] above it)
-//! and [`SharedEncodedNetwork::publish_encoded`] writes the encoded
-//! entry back once the simulation has warmed the memos.
+//! There is one build: [`SharedEncodedNetwork::start_pipelined`] runs
+//! the per-layer loop on a background thread,
+//! [`SharedEncodedNetwork::from_workload_stored`] runs the same loop
+//! inline, and both end in [`PipelinedBuild::finish`] — the only place
+//! either tier is published. [`ArtifactPool`] sits above it as the
+//! in-memory tier (pool → disk → generate).
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use pra_engines::shared_traffic;
 use pra_sim::{AccessCounters, ChipConfig, Dispatcher, NeuronMemory, NmLayout};
-use pra_workloads::cache::{ArtifactKind, ArtifactStore, CacheKey, CacheOutcome, KeyHasher};
+use pra_workloads::cache::{ArtifactKind, ArtifactStore, Cache, CacheKey, CacheOutcome, KeyHasher};
 use pra_workloads::{LayerView, NetworkWorkload, Representation};
-use rayon::prelude::*;
 
-use crate::artifact::{ENCODED_KIND, ENCODER_VERSION};
+use crate::artifact::{encode_layers, encoded_key, LayerDecoder, ENCODED_KIND, ENCODER_VERSION};
 use crate::column::SchedulerConfig;
 use crate::config::{EncodingKey, PraConfig};
 use crate::schedule::{EncodedLayer, LayerScheduler};
@@ -62,30 +63,33 @@ pub const TRAFFIC_KIND: &str = "tr";
 /// One layer's shared artifacts: every distinct `(EncodingKey,
 /// SchedulerConfig)` pair the configuration set needs, each holding an
 /// [`Arc`] onto its (possibly further shared) mask buffer.
-#[derive(Clone)]
 pub(crate) struct SharedLayer {
     pub(crate) schedulers: Vec<(EncodingKey, SchedulerConfig, Arc<LayerScheduler>)>,
 }
 
-/// Per-layer NM/SB traffic plus the chip view it was counted under —
-/// counters are only handed out to consumers that match the view, so a
-/// chip/layout/representation ablation can never silently borrow
-/// mismatched numbers.
-struct TrafficTable {
+/// The chip view NM/SB traffic is counted under — counters are only
+/// handed out to consumers that match it, so a chip/layout/
+/// representation ablation can never silently borrow mismatched
+/// numbers.
+#[derive(Clone, Copy, PartialEq)]
+struct TrafficView {
     chip: ChipConfig,
     nm_layout: NmLayout,
     repr: Representation,
-    per_layer: Vec<AccessCounters>,
 }
 
-/// A pending encoded-artifact publication: the key a tier-enabled
-/// build missed under, carried until [`SharedEncodedNetwork::
-/// publish_encoded`] writes the (by then memo-warm) entry. The flag
-/// makes publication once-only however many batches reuse the network.
-struct EncodedPending {
-    key: CacheKey,
-    wanted: Vec<(EncodingKey, SchedulerConfig)>,
-    published: AtomicBool,
+impl TrafficView {
+    fn of(cfg: &PraConfig) -> Self {
+        TrafficView { chip: cfg.chip, nm_layout: cfg.nm_layout, repr: cfg.repr }
+    }
+}
+
+/// The traffic view every configuration shares, `None` when they
+/// disagree — the single definition behind both the build-time sharing
+/// decision and the cached-table eligibility.
+fn shared_view(configs: &[PraConfig]) -> Option<TrafficView> {
+    let lead = TrafficView::of(&configs[0]);
+    configs.iter().all(|c| TrafficView::of(c) == lead).then_some(lead)
 }
 
 /// Per-tier disk outcomes of one [`SharedEncodedNetwork::
@@ -102,9 +106,9 @@ pub struct StoreOutcomes {
 
 /// The distinct `(EncodingKey, SchedulerConfig)` pairs of `configs`,
 /// preserving first-appearance order — the single definition shared by
-/// every build path and the encoded-artifact key/payload, so the
-/// persisted pair set can never diverge from what a build constructs.
-pub(crate) fn wanted_pairs(configs: &[PraConfig]) -> Vec<(EncodingKey, SchedulerConfig)> {
+/// the build and the encoded-artifact key/payload, so the persisted
+/// pair set can never diverge from what a build constructs.
+fn wanted_pairs(configs: &[PraConfig]) -> Vec<(EncodingKey, SchedulerConfig)> {
     let mut wanted: Vec<(EncodingKey, SchedulerConfig)> = Vec::new();
     for cfg in configs {
         let pair = (cfg.encoding_key(), cfg.scheduler());
@@ -115,92 +119,70 @@ pub(crate) fn wanted_pairs(configs: &[PraConfig]) -> Vec<(EncodingKey, Scheduler
     wanted
 }
 
+/// The one scheduler/traffic lookup behind both
+/// [`SharedEncodedNetwork::artifacts`] and [`PipelinedBuild::artifacts`]:
+/// `cfg`'s scheduler, plus the layer's traffic when `cfg` sees the view
+/// it was counted under (unlike schedules, traffic is not keyed by the
+/// scheduler parameters, so the match is checked here).
+///
+/// # Panics
+///
+/// Panics if the layer has no scheduler for `cfg` — sharing silently
+/// mismatched artifacts would corrupt results.
+fn select(
+    layer: usize,
+    (arts, traffic): (&SharedLayer, &AccessCounters),
+    view: Option<TrafficView>,
+    cfg: &PraConfig,
+) -> (Arc<LayerScheduler>, Option<AccessCounters>) {
+    let pair = (cfg.encoding_key(), cfg.scheduler());
+    let sched = arts
+        .schedulers
+        .iter()
+        .find(|(k, s, _)| (*k, *s) == pair)
+        .map(|(_, _, sched)| Arc::clone(sched))
+        .unwrap_or_else(|| {
+            panic!("shared artifacts were not built for {} (layer {layer})", cfg.label())
+        });
+    (sched, (view == Some(TrafficView::of(cfg))).then_some(*traffic))
+}
+
 /// Encode-once, schedule-once artifacts for one workload under a set of
 /// design points (see the module docs).
 pub struct SharedEncodedNetwork {
     layers: Vec<SharedLayer>,
-    /// Shared traffic, present when every built config agrees on chip,
-    /// NM layout and representation (`None` otherwise — consumers then
-    /// fall back to computing their own).
-    traffic: Option<TrafficTable>,
-    /// Set when a tier-enabled build missed the encoded entry; see
-    /// [`SharedEncodedNetwork::publish_encoded`].
-    encoded_pending: Option<EncodedPending>,
+    /// Per-layer NM/SB traffic, counted under `view` (zeroed when the
+    /// configurations disagree on one).
+    traffic: Vec<AccessCounters>,
+    /// The traffic view every built config shares; `None` when they
+    /// disagree — consumers then count their own traffic.
+    view: Option<TrafficView>,
 }
 
 impl SharedEncodedNetwork {
-    /// Builds the shared artifacts for `layers` under `configs`,
-    /// fanning the per-layer encoding work out on the rayon pool.
+    /// [`SharedEncodedNetwork::from_workload_stored`] without a disk.
     ///
     /// # Panics
     ///
     /// Panics if `configs` is empty.
-    pub fn build(configs: &[PraConfig], layers: &[LayerView<'_>]) -> Self {
-        Self::build_inner(configs, layers, None)
-    }
-
-    /// [`SharedEncodedNetwork::build`] with an optional preloaded
-    /// per-layer traffic table (one entry per layer, in layer order) —
-    /// the warm-cache path skips the dispatch recount entirely.
-    fn build_inner(
-        configs: &[PraConfig],
-        layers: &[LayerView<'_>],
-        preloaded_traffic: Option<Vec<AccessCounters>>,
-    ) -> Self {
-        assert!(!configs.is_empty(), "SharedEncodedNetwork needs at least one configuration");
-        let wanted = wanted_pairs(configs);
-        let lead = configs[0];
-        let share_traffic = agree_on_traffic_view(configs);
-        let preloaded = preloaded_traffic.filter(|t| share_traffic && t.len() == layers.len());
-
-        let views: Vec<(usize, &LayerView<'_>)> = layers.iter().enumerate().collect();
-        let built: Vec<(SharedLayer, AccessCounters)> = views
-            .into_par_iter()
-            .map(|(idx, view)| {
-                build_layer(
-                    &wanted,
-                    &lead,
-                    share_traffic,
-                    preloaded.as_ref().map(|t| &t[idx]),
-                    view,
-                )
-            })
-            .collect();
-
-        let mut layers_out = Vec::with_capacity(built.len());
-        let mut traffic_out = Vec::with_capacity(built.len());
-        for (layer, traffic) in built {
-            layers_out.push(layer);
-            traffic_out.push(traffic);
-        }
-        let traffic = share_traffic.then_some(TrafficTable {
-            chip: lead.chip,
-            nm_layout: lead.nm_layout,
-            repr: lead.repr,
-            per_layer: traffic_out,
-        });
-        Self { layers: layers_out, traffic, encoded_pending: None }
-    }
-
-    /// [`SharedEncodedNetwork::build`] over a workload's layers.
     pub fn from_workload(configs: &[PraConfig], workload: &NetworkWorkload) -> Self {
-        let views: Vec<LayerView<'_>> = workload.layers.iter().map(|l| l.view()).collect();
-        Self::build(configs, &views)
+        Self::from_workload_stored(configs, workload, 0, &ArtifactStore::at_default().no_disk()).0
     }
 
-    /// [`SharedEncodedNetwork::from_workload`] resolved through the
-    /// tiered artifact store: the encoded tier (`"en"`) replaces the
-    /// whole mask-encode with a deserialize on a warm run and arms a
-    /// deferred publication on a miss
-    /// ([`SharedEncodedNetwork::publish_encoded`]); the traffic tier
-    /// (`"tr"`) replaces the dispatch recount and publishes a cold
-    /// count immediately (counters are complete at build time, unlike
-    /// the memos). `seed` is the workload's generator seed — it reaches
-    /// the encoded key through the workload's content address, since
-    /// masks (unlike traffic) depend on neuron values.
+    /// Builds the shared artifacts for `workload` under `configs`
+    /// inline, resolved through the tiered artifact store: the same
+    /// per-layer loop [`SharedEncodedNetwork::start_pipelined`] runs on
+    /// its builder thread, then the same [`PipelinedBuild::finish`]. The
+    /// encoded tier (`"en"`) streams masks and memos off disk instead of
+    /// encoding; the traffic tier (`"tr"`) replaces the dispatch
+    /// recount. `seed` is the workload's generator seed — it reaches the
+    /// encoded key through the workload's content address, since masks
+    /// (unlike traffic) depend on neuron values.
     ///
     /// Either tier falls back bit-identically to a fresh build when
-    /// disabled, missing, corrupt, truncated or version-drifted.
+    /// disabled, missing, corrupt, truncated or version-drifted, and
+    /// `finish` publishes what missed — before any simulation, so the
+    /// published memos are cold (valid; their slots refill lazily).
     ///
     /// # Panics
     ///
@@ -211,116 +193,38 @@ impl SharedEncodedNetwork {
         seed: u64,
         store: &ArtifactStore,
     ) -> (Self, StoreOutcomes) {
-        assert!(!configs.is_empty(), "SharedEncodedNetwork needs at least one configuration");
-        let views: Vec<LayerView<'_>> = workload.layers.iter().map(|l| l.view()).collect();
-        let wanted = wanted_pairs(configs);
-        let lead = configs[0];
-        let share_traffic = agree_on_traffic_view(configs);
-
-        // Encoded tier: probe before paying for the encode.
-        let mut encoded_outcome = CacheOutcome::Disabled;
-        let mut decoded: Option<Vec<SharedLayer>> = None;
-        let mut pending: Option<EncodedPending> = None;
-        if let Some(cache) = store.cache_for(ArtifactKind::Encoded) {
-            let key = crate::artifact::encoded_key(workload, seed, &wanted);
-            let dims: Vec<_> = views.iter().map(|v| v.neurons.dim()).collect();
-            decoded = cache
-                .load(ENCODED_KIND, ENCODER_VERSION, &key)
-                .and_then(|payload| crate::artifact::decode_layers(payload, &wanted, &dims));
-            if decoded.is_some() {
-                encoded_outcome = CacheOutcome::Hit;
-            } else {
-                encoded_outcome = CacheOutcome::Miss;
-                pending = Some(EncodedPending {
-                    key,
-                    wanted: wanted.clone(),
-                    published: AtomicBool::new(false),
-                });
-            }
-        }
-
-        // Traffic tier.
-        let mut traffic_outcome = CacheOutcome::Disabled;
-        let mut traffic_store_key: Option<CacheKey> = None;
-        let mut preloaded: Option<Vec<AccessCounters>> = None;
-        if share_traffic {
-            if let Some(cache) = store.cache_for(ArtifactKind::Traffic) {
-                let key = traffic_key(
-                    workload.network.name(),
-                    &views,
-                    &lead.chip,
-                    lead.nm_layout,
-                    lead.repr,
-                );
-                preloaded = cache
-                    .load(TRAFFIC_KIND, TRAFFIC_VERSION, &key)
-                    .and_then(|payload| decode_traffic(&payload, views.len()));
-                if preloaded.is_some() {
-                    traffic_outcome = CacheOutcome::Hit;
-                } else {
-                    traffic_outcome = CacheOutcome::Miss;
-                    traffic_store_key = Some(key);
-                }
-            }
-        }
-
-        let built = match decoded {
-            Some(layers) => {
-                // Masks and memos came off disk; only traffic remains.
-                let traffic = share_traffic.then(|| {
-                    let per_layer = preloaded.unwrap_or_else(|| {
-                        views.par_iter().map(|view| count_traffic(&lead, view)).collect()
-                    });
-                    TrafficTable {
-                        chip: lead.chip,
-                        nm_layout: lead.nm_layout,
-                        repr: lead.repr,
-                        per_layer,
-                    }
-                });
-                Self { layers, traffic, encoded_pending: None }
-            }
-            None => {
-                let mut built = Self::build_inner(configs, &views, preloaded);
-                built.encoded_pending = pending;
-                built
-            }
-        };
-        if let (Some(key), Some(cache), Some(table)) = (
-            traffic_store_key.as_ref(),
-            store.cache_for(ArtifactKind::Traffic),
-            built.traffic.as_ref(),
-        ) {
-            // Best-effort, like every cache store.
-            let _ =
-                cache.store(TRAFFIC_KIND, TRAFFIC_VERSION, key, &encode_traffic(&table.per_layer));
-        }
-        (built, StoreOutcomes { encoded: encoded_outcome, traffic: traffic_outcome })
+        let build = PipelinedBuild::plan(configs, workload, seed, store);
+        build_layers(&build.plan, workload, &build.state);
+        let outcomes =
+            StoreOutcomes { encoded: build.encoded_outcome(), traffic: build.traffic_outcome };
+        (build.finish(store), outcomes)
     }
 
-    /// Publishes the encoded-artifact entry this build missed under, if
-    /// any — called *after* simulation so the persisted memos carry the
-    /// brick schedules the run actually computed (publishing earlier
-    /// would be correct but cold: memo slots serialize as the lazy
-    /// sentinel and refill on load). No-op unless the build armed a
-    /// pending key, the store's encoded tier is enabled, and nothing
-    /// published this network before; returns `true` exactly when an
-    /// entry was written.
-    pub fn publish_encoded(&self, store: &ArtifactStore) -> bool {
-        let Some(pending) = self.encoded_pending.as_ref() else {
-            return false;
-        };
-        let Some(cache) = store.cache_for(ArtifactKind::Encoded) else {
-            return false;
-        };
-        // relaxed-ok: the flag only dedups publications; the entry
-        // content is independent of ordering, and a double publish
-        // would merely rewrite identical bytes.
-        if pending.published.swap(true, Ordering::Relaxed) {
-            return false;
-        }
-        let payload = crate::artifact::encode_layers(&self.layers, &pending.wanted);
-        cache.store(ENCODED_KIND, ENCODER_VERSION, &pending.key, &payload).is_ok()
+    /// Starts a pipelined (layer-at-a-time, background-thread) build of
+    /// the shared artifacts for `workload` under `configs`. The traffic
+    /// tier is probed synchronously (counters are small); the *encoded*
+    /// tier's probe — the entry load and its streamed decode — rides the
+    /// builder thread, so this call blocks on nothing heavier than key
+    /// derivation and a warm start's layers become consumable one by
+    /// one, exactly as a cold encode streams them: warm or cold, the
+    /// caller's foreground cost is simulation only. If the build thread
+    /// cannot be spawned, the first consumer builds every layer inline
+    /// (slower, never wrong).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `configs` is empty.
+    pub fn start_pipelined(
+        configs: &[PraConfig],
+        workload: &Arc<NetworkWorkload>,
+        seed: u64,
+        store: &ArtifactStore,
+    ) -> PipelinedBuild {
+        let mut build = PipelinedBuild::plan(configs, workload, seed, store);
+        let (plan, state, workload) =
+            (Arc::clone(&build.plan), Arc::clone(&build.state), Arc::clone(workload));
+        build.launch = Mutex::new(Some(Arc::new(move || build_layers(&plan, &workload, &state))));
+        build
     }
 
     /// Number of layers the artifacts were built for.
@@ -328,35 +232,21 @@ impl SharedEncodedNetwork {
         self.layers.len()
     }
 
-    /// The shared scheduler for `layer` under `cfg`.
+    /// The shared scheduler for `layer` under `cfg`, plus the layer's
+    /// NM/SB traffic counters — `None` when `cfg`'s chip, NM layout or
+    /// representation differs from the view they were counted under
+    /// (the caller then computes its own).
     ///
     /// # Panics
     ///
     /// Panics if the network was not built for a configuration with
-    /// `cfg`'s encoding key and scheduler parameters — sharing silently
-    /// mismatched artifacts would corrupt results.
-    pub fn scheduler(&self, layer: usize, cfg: &PraConfig) -> &Arc<LayerScheduler> {
-        let (key, sched_cfg) = (cfg.encoding_key(), cfg.scheduler());
-        self.layers[layer]
-            .schedulers
-            .iter()
-            .find(|(k, s, _)| *k == key && *s == sched_cfg)
-            .map(|(_, _, sched)| sched)
-            .unwrap_or_else(|| {
-                panic!("SharedEncodedNetwork was not built for {} (layer {layer})", cfg.label())
-            })
-    }
-
-    /// The shared NM/SB traffic counters for `layer` under `cfg`, or
-    /// `None` when `cfg`'s chip, NM layout or representation differs
-    /// from the view the counters were counted under (the caller then
-    /// computes its own) — unlike schedules, traffic is *not* keyed by
-    /// the scheduler parameters, so the match is checked here instead.
-    pub fn traffic_for(&self, layer: usize, cfg: &PraConfig) -> Option<&AccessCounters> {
-        self.traffic
-            .as_ref()
-            .filter(|t| t.chip == cfg.chip && t.nm_layout == cfg.nm_layout && t.repr == cfg.repr)
-            .map(|t| &t.per_layer[layer])
+    /// `cfg`'s encoding key and scheduler parameters.
+    pub fn artifacts(
+        &self,
+        layer: usize,
+        cfg: &PraConfig,
+    ) -> (Arc<LayerScheduler>, Option<AccessCounters>) {
+        select(layer, (&self.layers[layer], &self.traffic[layer]), self.view, cfg)
     }
 
     /// All per-layer traffic counters — the slice other engines'
@@ -370,10 +260,8 @@ impl SharedEncodedNetwork {
         layout: NmLayout,
         repr: Representation,
     ) -> Option<&[AccessCounters]> {
-        self.traffic
-            .as_ref()
-            .filter(|t| t.chip == *chip && t.nm_layout == layout && t.repr == repr)
-            .map(|t| t.per_layer.as_slice())
+        (self.view == Some(TrafficView { chip: *chip, nm_layout: layout, repr }))
+            .then_some(self.traffic.as_slice())
     }
 }
 
@@ -413,128 +301,232 @@ fn build_layer_artifacts(
     SharedLayer { schedulers }
 }
 
-/// Builds one layer's shared artifacts (the pure per-layer unit both
-/// the rayon fan-out in [`SharedEncodedNetwork::build`] and the
-/// sequential [`PipelinedBuild`] thread map over): every distinct
-/// `(EncodingKey, SchedulerConfig)` pair, plus the layer's traffic
-/// counters (preloaded, counted under the lead view, or zeroed when
-/// the configuration set does not share one view).
-fn build_layer(
-    wanted: &[(EncodingKey, SchedulerConfig)],
-    lead: &PraConfig,
-    share_traffic: bool,
-    preloaded: Option<&AccessCounters>,
-    view: &LayerView<'_>,
-) -> (SharedLayer, AccessCounters) {
-    let traffic = match preloaded {
-        Some(table) => *table,
-        None if share_traffic => count_traffic(lead, view),
-        None => AccessCounters::new(),
-    };
-    (build_layer_artifacts(wanted, view), traffic)
+/// What a build needs besides the workload and its layer slots, fixed
+/// when the build is planned and read by the layer loop and `finish`.
+struct BuildPlan {
+    wanted: Vec<(EncodingKey, SchedulerConfig)>,
+    lead: PraConfig,
+    view: Option<TrafficView>,
+    /// The encoded tier's cache and this build's key in it; `None` when
+    /// the tier is off.
+    encoded: Option<(Cache, CacheKey)>,
+    /// The traffic table the plan loaded, when the traffic tier hit.
+    preloaded: Option<Vec<AccessCounters>>,
 }
 
-/// Layer slots the pipelined builder fills in index order.
+/// Layer slots the build loop fills in index order.
 struct PipeState {
     built: Vec<Option<(SharedLayer, AccessCounters)>>,
-    /// Set (with a wakeup) when the builder stops, normally or not —
+    /// Set (with a wakeup) when the loop stops, normally or not —
     /// waiters must never block on a slot that will never fill.
     finished: bool,
-    /// What the encoded store tier contributed. The builder thread owns
-    /// the probe (so a warm start blocks on nothing heavier than key
+    /// What the encoded store tier contributed. The loop owns the probe
+    /// (so a pipelined warm start blocks on nothing heavier than key
     /// derivation) and resolves this from its initial value — `Miss`
-    /// for a tier-enabled start, `Disabled` otherwise — in the same
+    /// for a tier-enabled build, `Disabled` otherwise — in the same
     /// critical section that publishes the final layer: any consumer
     /// that has seen every layer reads a settled value.
     encoded_outcome: CacheOutcome,
 }
 
-/// Wakes every [`PipelinedBuild`] waiter when the builder thread stops
-/// for *any* reason — including an unwind mid-build. Without this, a
+type PipeSync = (Mutex<PipeState>, Condvar);
+
+/// Wakes every [`PipelinedBuild`] waiter when the build loop stops for
+/// *any* reason — including an unwind mid-build. Without this, a
 /// panicking builder would leave a simulation thread parked on the
 /// condvar forever; with it, the waiter observes `finished` with an
 /// unfilled slot and raises a diagnosable panic instead of hanging.
-struct NotifyOnStop(Arc<(Mutex<PipeState>, Condvar)>);
+struct NotifyOnStop<'a>(&'a PipeSync);
 
-impl Drop for NotifyOnStop {
+impl Drop for NotifyOnStop<'_> {
     fn drop(&mut self) {
-        let (state, cv) = &*self.0;
+        let (state, cv) = self.0;
+        state.lock().unwrap_or_else(PoisonError::into_inner).finished = true;
+        cv.notify_all();
+    }
+}
+
+/// The one per-layer build loop. Each layer streams off the encoded
+/// entry while it decodes — a missing entry or a mid-stream failure
+/// drops the decoder (a failed stream must not misalign later layers)
+/// and encodes that layer and every later one fresh, bit-identically —
+/// takes or counts its traffic, and is published into its slot the
+/// moment it is ready.
+fn build_layers(plan: &BuildPlan, workload: &NetworkWorkload, sync: &PipeSync) {
+    let _notify = NotifyOnStop(sync);
+    let last = workload.layers.len().checked_sub(1);
+    let mut decoder = plan.encoded.as_ref().and_then(|(cache, key)| {
+        let payload = cache.load(ENCODED_KIND, ENCODER_VERSION, key)?;
+        let dims: Vec<_> = workload.layers.iter().map(|l| l.neurons.dim()).collect();
+        LayerDecoder::new(payload, &plan.wanted, &dims)
+    });
+    for (idx, layer) in workload.layers.iter().enumerate() {
+        let view = layer.view();
+        let arts = match decoder.as_mut().and_then(LayerDecoder::next_layer) {
+            Some(arts) => arts,
+            None => {
+                decoder = None;
+                build_layer_artifacts(&plan.wanted, &view)
+            }
+        };
+        let traffic = match (&plan.preloaded, plan.view) {
+            (Some(table), _) => table[idx],
+            (None, Some(_)) => count_traffic(&plan.lead, &view),
+            (None, None) => AccessCounters::new(),
+        };
+        let streamed = decoder.as_ref().is_some_and(LayerDecoder::fully_consumed);
+        let (state, cv) = sync;
         let mut g = state.lock().unwrap_or_else(PoisonError::into_inner);
-        g.finished = true;
+        g.built[idx] = Some((arts, traffic));
+        if Some(idx) == last && plan.encoded.is_some() {
+            // Settled in the same critical section as the final layer:
+            // consumers that saw every layer read the disk's true
+            // answer, never a racing placeholder.
+            g.encoded_outcome = if streamed { CacheOutcome::Hit } else { CacheOutcome::Miss };
+        }
         drop(g);
         cv.notify_all();
     }
 }
 
 /// A [`SharedEncodedNetwork`] build in flight: layers are built
-/// *sequentially, in index order, on a background thread*, and each
-/// layer's artifacts become consumable the moment they are ready — so a
+/// *sequentially, in index order* — on a background thread for
+/// [`SharedEncodedNetwork::start_pipelined`] — and each layer's
+/// artifacts become consumable the moment they are ready, so a
 /// simulation thread can run layer *n* while the builder encodes layer
 /// *n + 1* (the serving tier's streaming overlap; DESIGN.md §14). The
 /// finished artifacts are assembled into an ordinary
-/// [`SharedEncodedNetwork`] by [`PipelinedBuild::finish`], and are
-/// bit-identical to what [`SharedEncodedNetwork::from_workload`] builds
-/// — per-layer artifact construction is pure, only its schedule moves.
+/// [`SharedEncodedNetwork`] by [`PipelinedBuild::finish`] — per-layer
+/// artifact construction is pure, only its schedule moves.
 pub struct PipelinedBuild {
-    state: Arc<(Mutex<PipeState>, Condvar)>,
-    /// The builder launches *lazily*, on the first consumer
+    state: Arc<PipeSync>,
+    /// A pipelined builder launches *lazily*, on the first consumer
     /// ([`PipelinedBuild::artifacts`] or [`PipelinedBuild::finish`]):
     /// spawning inside `start_pipelined` would make a runnable thread
     /// whose first act is heavy I/O (the encoded-entry load), and on a
     /// single core the wakeup can preempt the caller before the start
     /// call returns — charging overlapped background work to the
-    /// caller's blocking-phase clock. Deferring the spawn keeps the
-    /// start cost at key derivation, warm or cold.
-    launch: Mutex<Launch>,
-    lead: PraConfig,
-    share_traffic: bool,
+    /// caller's blocking-phase clock. Deferring the launch keeps the
+    /// start cost at key derivation, warm or cold. `Some` holds the
+    /// whole-build closure until then (callable again inline if no
+    /// thread can take it); `None` once launched, or for an inline
+    /// build.
+    launch: Mutex<Option<BuildJob>>,
+    plan: Arc<BuildPlan>,
     layer_count: usize,
-    /// The traffic-table cache key, kept so `finish` can publish a
-    /// cold count (`None` when uncacheable or the load already hit).
-    store_key: Option<CacheKey>,
-    /// The encoded-artifact key a tier-enabled start armed, transferred
-    /// to the assembled network by `finish` when the builder reported a
-    /// miss (which also publishes: by then the sims that ran against
-    /// the in-flight build have warmed the memos) and dropped when the
-    /// entry streamed off disk.
-    encoded_pending: Option<EncodedPending>,
-    /// What the traffic tier contributed at start; see
+    /// The traffic-table key `finish` publishes a cold count under
+    /// (`None` when uncacheable or the plan's load hit).
+    traffic_miss: Option<CacheKey>,
+    /// What the traffic tier contributed at plan time; see
     /// [`PipelinedBuild::traffic_outcome`].
     traffic_outcome: CacheOutcome,
 }
 
-/// Deferred builder launch state; see [`PipelinedBuild::launch`].
-enum Launch {
-    /// Not yet running: the whole-build closure, callable many times
-    /// (all captures are read-only) but called at most once.
-    Pending(Arc<dyn Fn() + Send + Sync>),
-    /// Running or done; `None` once joined (or after an inline
-    /// fallback run, which has no handle).
-    Started(Option<std::thread::JoinHandle<()>>),
+/// A whole-build closure; all captures are read-only, so it can be
+/// called again inline when no thread takes it.
+type BuildJob = Arc<dyn Fn() + Send + Sync>;
+
+/// Build threads waiting for their next job, one channel each.
+static IDLE_BUILDERS: Mutex<Vec<Sender<BuildJob>>> = Mutex::new(Vec::new());
+
+/// Runs `job` on a build thread, reusing an idle one and starting a
+/// new one only when none is idle. A thread per build would land in
+/// whichever malloc arena is free and scatter the pooled artifacts over
+/// arenas whose freed memory later builds do not reuse (measured on
+/// serve-churn: a fifth more peak RSS). Build threads are never joined;
+/// a build that panics still surfaces, as the layers it never produced
+/// ([`PipelinedBuild::artifacts`], [`PipelinedBuild::finish`]).
+fn run_on_builder(job: BuildJob) -> std::io::Result<()> {
+    let idle = IDLE_BUILDERS.lock().unwrap_or_else(PoisonError::into_inner).pop();
+    let job = match idle.map(|tx| tx.send(Arc::clone(&job))) {
+        Some(Ok(())) => return Ok(()),
+        Some(Err(_)) | None => job,
+    };
+    let (tx, rx) = channel::<BuildJob>();
+    let worker = move || {
+        let mut next = Some(job);
+        while let Some(job) = next.take() {
+            job();
+            // Idle threads must not keep the last build's workload alive.
+            drop(job);
+            IDLE_BUILDERS.lock().unwrap_or_else(PoisonError::into_inner).push(tx.clone());
+            next = rx.recv().ok();
+        }
+    };
+    std::thread::Builder::new().name("pra-pipeline-build".to_string()).spawn(worker).map(drop)
 }
 
 impl PipelinedBuild {
-    /// Spawns the builder if no consumer has yet; on thread exhaustion
-    /// every layer is built inline here instead (no overlap, same
-    /// bytes) — racing consumers park on the launch lock until the
+    /// Plans a build of `workload` under `configs`: derives the encoded
+    /// key (cheap — it hashes generation inputs, not tensors) and probes
+    /// the traffic tier. Nothing is built and nothing launches; the
+    /// caller runs [`build_layers`] inline or installs a pending
+    /// launch.
+    fn plan(
+        configs: &[PraConfig],
+        workload: &NetworkWorkload,
+        seed: u64,
+        store: &ArtifactStore,
+    ) -> Self {
+        assert!(!configs.is_empty(), "SharedEncodedNetwork needs at least one configuration");
+        let wanted = wanted_pairs(configs);
+        let lead = configs[0];
+        let view = shared_view(configs);
+        let layer_count = workload.layers.len();
+        let encoded = store
+            .cache_for(ArtifactKind::Encoded)
+            .map(|cache| (cache.clone(), encoded_key(workload, seed, &wanted)));
+        let traffic_cache = store.cache_for(ArtifactKind::Traffic).filter(|_| view.is_some());
+        let (traffic_miss, preloaded, traffic_outcome) = match traffic_cache {
+            None => (None, None, CacheOutcome::Disabled),
+            Some(cache) => {
+                let views: Vec<LayerView<'_>> = workload.layers.iter().map(|l| l.view()).collect();
+                let key = traffic_key(
+                    workload.network.name(),
+                    &views,
+                    &lead.chip,
+                    lead.nm_layout,
+                    lead.repr,
+                );
+                match cache
+                    .load(TRAFFIC_KIND, TRAFFIC_VERSION, &key)
+                    .and_then(|payload| decode_traffic(&payload, layer_count))
+                {
+                    Some(table) => (None, Some(table), CacheOutcome::Hit),
+                    None => (Some(key), None, CacheOutcome::Miss),
+                }
+            }
+        };
+        let encoded_outcome =
+            if encoded.is_some() { CacheOutcome::Miss } else { CacheOutcome::Disabled };
+        PipelinedBuild {
+            state: Arc::new((
+                Mutex::new(PipeState {
+                    built: (0..layer_count).map(|_| None).collect(),
+                    finished: false,
+                    encoded_outcome,
+                }),
+                Condvar::new(),
+            )),
+            launch: Mutex::new(None),
+            plan: Arc::new(BuildPlan { wanted, lead, view, encoded, preloaded }),
+            layer_count,
+            traffic_miss,
+            traffic_outcome,
+        }
+    }
+
+    /// Launches the builder if no consumer has yet; on thread
+    /// exhaustion every layer is built inline here instead (no overlap,
+    /// same bytes) — racing consumers park on the launch lock until the
     /// layers exist.
     fn ensure_started(&self) {
         let mut g = self.launch.lock().unwrap_or_else(PoisonError::into_inner);
-        let Launch::Pending(build_all) = &*g else {
-            return;
-        };
-        let build_all = Arc::clone(build_all);
-        let spawned = std::thread::Builder::new().name("pra-pipeline-build".to_string()).spawn({
-            let build_all = Arc::clone(&build_all);
-            move || build_all()
-        });
-        *g = Launch::Started(match spawned {
-            Ok(handle) => Some(handle),
-            Err(_) => {
-                build_all();
-                None
+        if let Some(job) = g.take() {
+            if run_on_builder(Arc::clone(&job)).is_err() {
+                job();
             }
-        });
+        }
     }
 
     /// How many layers the build covers.
@@ -545,11 +537,11 @@ impl PipelinedBuild {
     /// What the encoded store tier contributed: `Hit` when every mask
     /// buffer and memo streamed off disk, `Miss` when a tier-enabled
     /// build (re)encoded and `finish` will publish, `Disabled` when the
-    /// tier is off. The probe runs on the builder thread, so this
-    /// settles with the final layer: read it after the build completes
-    /// (all layers consumed, or [`PipelinedBuild::finish`] on the
-    /// assembled network's behalf); earlier reads see the tier's
-    /// configuration (`Disabled`/`Miss`), not the disk's answer.
+    /// tier is off. The probe runs in the build loop, so this settles
+    /// with the final layer: read it after the build completes (all
+    /// layers consumed, or [`PipelinedBuild::finish`] on the assembled
+    /// network's behalf); earlier reads see the tier's configuration
+    /// (`Disabled`/`Miss`), not the disk's answer.
     pub fn encoded_outcome(&self) -> CacheOutcome {
         self.lock().encoded_outcome
     }
@@ -567,10 +559,9 @@ impl PipelinedBuild {
         self.state.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Blocks until `layer`'s artifacts are built, then returns the
-    /// shared scheduler for `cfg` plus the layer's traffic counters
-    /// (`None` exactly when [`SharedEncodedNetwork::traffic_for`]
-    /// would answer `None`).
+    /// Blocks until `layer`'s artifacts are built, then answers exactly
+    /// as [`SharedEncodedNetwork::artifacts`] will once the build is
+    /// finished.
     ///
     /// # Panics
     ///
@@ -584,251 +575,105 @@ impl PipelinedBuild {
         assert!(layer < self.layer_count, "pipelined build has no layer {layer}");
         self.ensure_started();
         let mut g = self.lock();
-        let (layer_arts, traffic) = loop {
-            if let Some((arts, traffic)) = g.built.get(layer).and_then(|slot| slot.as_ref()) {
-                break (arts, *traffic);
+        loop {
+            if let Some((arts, traffic)) = g.built.get(layer).and_then(Option::as_ref) {
+                return select(layer, (arts, traffic), self.plan.view, cfg);
             }
             assert!(
                 !g.finished,
                 "pipelined build stopped before producing layer {layer} (builder panicked?)"
             );
             g = self.state.1.wait(g).unwrap_or_else(PoisonError::into_inner);
-        };
-        let (key, sched_cfg) = (cfg.encoding_key(), cfg.scheduler());
-        let sched = layer_arts
-            .schedulers
-            .iter()
-            .find(|(k, s, _)| *k == key && *s == sched_cfg)
-            .map(|(_, _, sched)| Arc::clone(sched))
-            .unwrap_or_else(|| {
-                panic!("PipelinedBuild was not started for {} (layer {layer})", cfg.label())
-            });
-        let traffic = (self.share_traffic
-            && cfg.chip == self.lead.chip
-            && cfg.nm_layout == self.lead.nm_layout
-            && cfg.repr == self.lead.repr)
-            .then_some(traffic);
-        (sched, traffic)
+        }
     }
 
-    /// Joins the builder and assembles the completed layers into an
-    /// ordinary [`SharedEncodedNetwork`], publishing through `store`
-    /// whatever the start missed: a cold traffic count when one was
-    /// keyed, and the encoded artifacts (memo-warm — the sims that ran
-    /// against the in-flight build filled them in place).
+    /// Waits for the builder and assembles the completed layers into an
+    /// ordinary [`SharedEncodedNetwork`] — the only publish point of
+    /// the build: a cold traffic count when the plan missed one, and
+    /// the encoded artifacts unless they streamed off disk intact
+    /// (memo-warm — whatever sims ran against the in-flight build
+    /// filled them in place). A miss creates the entry; a corrupt or
+    /// partial one is repaired.
     ///
     /// # Panics
     ///
     /// Panics if the builder thread panicked (the artifacts would be
     /// incomplete; callers treat it like any worker panic).
-    pub fn finish(mut self, store: &ArtifactStore) -> SharedEncodedNetwork {
+    pub fn finish(self, store: &ArtifactStore) -> SharedEncodedNetwork {
         self.ensure_started();
-        let handle = match &mut *self.launch.lock().unwrap_or_else(PoisonError::into_inner) {
-            Launch::Started(handle) => handle.take(),
-            Launch::Pending(_) => unreachable!("ensure_started leaves no Pending launch"),
-        };
-        if let Some(handle) = handle {
-            assert!(handle.join().is_ok(), "pipelined artifact build panicked");
-        }
         let mut g = self.lock();
-        assert!(
-            g.built.iter().all(Option::is_some),
-            "pipelined build finished with missing layers"
-        );
-        let built: Vec<(SharedLayer, AccessCounters)> = g
-            .built
-            .drain(..)
-            .map(|slot| slot.unwrap_or_else(|| unreachable!("checked above")))
-            .collect();
+        while !g.finished {
+            g = self.state.1.wait(g).unwrap_or_else(PoisonError::into_inner);
+        }
         let encoded_outcome = g.encoded_outcome;
+        let built = std::mem::take(&mut g.built);
         drop(g);
-        let mut layers_out = Vec::with_capacity(built.len());
-        let mut traffic_out = Vec::with_capacity(built.len());
-        for (layer, traffic) in built {
-            layers_out.push(layer);
-            traffic_out.push(traffic);
-        }
+        let (layers, traffic): (Vec<SharedLayer>, Vec<AccessCounters>) =
+            built.into_iter().map(|slot| slot.expect("pipelined artifact build panicked")).unzip();
+        // Best-effort, like every cache store.
         if let (Some(key), Some(cache)) =
-            (self.store_key.as_ref(), store.cache_for(ArtifactKind::Traffic))
+            (&self.traffic_miss, store.cache_for(ArtifactKind::Traffic))
         {
-            // Best-effort, like every cache store.
-            let _ = cache.store(TRAFFIC_KIND, TRAFFIC_VERSION, key, &encode_traffic(&traffic_out));
+            let _ = cache.store(TRAFFIC_KIND, TRAFFIC_VERSION, key, &encode_traffic(&traffic));
         }
-        let traffic = self.share_traffic.then_some(TrafficTable {
-            chip: self.lead.chip,
-            nm_layout: self.lead.nm_layout,
-            repr: self.lead.repr,
-            per_layer: traffic_out,
-        });
-        let network = SharedEncodedNetwork {
-            layers: layers_out,
-            traffic,
-            // The entry streamed off disk intact: nothing to publish.
-            // Anything less (miss, corrupt, partial) keeps the armed
-            // key so the publish below repairs or creates the entry.
-            encoded_pending: (encoded_outcome != CacheOutcome::Hit)
-                .then(|| self.encoded_pending.take())
-                .flatten(),
-        };
-        network.publish_encoded(store);
-        network
+        if let (Some((_, key)), Some(cache), CacheOutcome::Miss) =
+            (&self.plan.encoded, store.cache_for(ArtifactKind::Encoded), encoded_outcome)
+        {
+            let payload = encode_layers(&layers, &self.plan.wanted);
+            let _ = cache.store(ENCODED_KIND, ENCODER_VERSION, key, &payload);
+        }
+        SharedEncodedNetwork { layers, traffic, view: self.plan.view }
     }
 }
 
-impl SharedEncodedNetwork {
-    /// Starts a pipelined (layer-at-a-time, background-thread) build of
-    /// the shared artifacts for `workload` under `configs` — the
-    /// streaming-overlap counterpart of
-    /// [`SharedEncodedNetwork::from_workload_stored`]. The traffic tier
-    /// is probed synchronously like the batch build (counters are
-    /// small); the *encoded* tier's probe — the entry load and its
-    /// streamed decode — rides the builder thread, so this call blocks
-    /// on nothing heavier than key derivation and a warm start's layers
-    /// become consumable one by one, exactly as a cold encode streams
-    /// them: warm or cold, the caller's foreground cost is simulation
-    /// only. If the build thread cannot be spawned, every layer is
-    /// built inline before this returns (slower, never wrong).
+/// What [`crate::run_shared`] simulates against: a finished
+/// [`SharedEncodedNetwork`] or a [`PipelinedBuild`] still in flight.
+/// Both answer through the same per-layer lookup.
+#[derive(Clone, Copy)]
+pub enum Artifacts<'a> {
+    /// Finished artifacts (e.g. a pooled network).
+    Built(&'a SharedEncodedNetwork),
+    /// An in-flight build: each layer is waited for as a run reaches it.
+    Building(&'a PipelinedBuild),
+}
+
+impl Artifacts<'_> {
+    /// How many layers the artifacts cover.
+    pub fn layer_count(&self) -> usize {
+        match self {
+            Artifacts::Built(network) => network.layer_count(),
+            Artifacts::Building(build) => build.layer_count(),
+        }
+    }
+
+    /// `layer`'s scheduler and traffic under `cfg`; see
+    /// [`SharedEncodedNetwork::artifacts`].
     ///
     /// # Panics
     ///
-    /// Panics if `configs` is empty.
-    pub fn start_pipelined(
-        configs: &[PraConfig],
-        workload: &Arc<NetworkWorkload>,
-        seed: u64,
-        store: &ArtifactStore,
-    ) -> PipelinedBuild {
-        assert!(!configs.is_empty(), "SharedEncodedNetwork needs at least one configuration");
-        let wanted = wanted_pairs(configs);
-        let lead = configs[0];
-        let share_traffic = agree_on_traffic_view(configs);
-        let layer_count = workload.layers.len();
-
-        // Encoded tier: derive the key now (cheap — it hashes
-        // generation inputs, not tensors), hand the cache handle to the
-        // builder, and arm the publish unconditionally; `finish` drops
-        // it when the builder reports the entry streamed intact.
-        let encoded_probe = store
-            .cache_for(ArtifactKind::Encoded)
-            .map(|cache| (cache.clone(), crate::artifact::encoded_key(workload, seed, &wanted)));
-        let encoded_pending = encoded_probe.as_ref().map(|(_, key)| EncodedPending {
-            key: key.clone(),
-            wanted: wanted.clone(),
-            published: AtomicBool::new(false),
-        });
-
-        let (key, preloaded) = if share_traffic {
-            let views: Vec<LayerView<'_>> = workload.layers.iter().map(|l| l.view()).collect();
-            let key =
-                traffic_key(workload.network.name(), &views, &lead.chip, lead.nm_layout, lead.repr);
-            let preloaded = store
-                .cache_for(ArtifactKind::Traffic)
-                .and_then(|c| c.load(TRAFFIC_KIND, TRAFFIC_VERSION, &key))
-                .and_then(|payload| decode_traffic(&payload, layer_count));
-            (Some(key), preloaded)
-        } else {
-            (None, None)
-        };
-        let hit = preloaded.is_some();
-        let traffic_outcome = if !share_traffic || store.cache_for(ArtifactKind::Traffic).is_none()
-        {
-            CacheOutcome::Disabled
-        } else if hit {
-            CacheOutcome::Hit
-        } else {
-            CacheOutcome::Miss
-        };
-        let store_key = if hit {
-            None
-        } else {
-            key.filter(|_| store.cache_for(ArtifactKind::Traffic).is_some())
-        };
-
-        let state = Arc::new((
-            Mutex::new(PipeState {
-                built: (0..layer_count).map(|_| None).collect(),
-                finished: false,
-                encoded_outcome: if encoded_probe.is_some() {
-                    CacheOutcome::Miss
-                } else {
-                    CacheOutcome::Disabled
-                },
-            }),
-            Condvar::new(),
-        ));
-        let thread_state = Arc::clone(&state);
-        let thread_workload = Arc::clone(workload);
-        let build_all = move || {
-            use crate::artifact::LayerDecoder;
-            let _notify = NotifyOnStop(Arc::clone(&thread_state));
-            let last = thread_workload.layers.len().checked_sub(1);
-            let mut decoder = encoded_probe.as_ref().and_then(|(cache, key)| {
-                let payload = cache.load(ENCODED_KIND, ENCODER_VERSION, key)?;
-                let dims: Vec<_> = thread_workload.layers.iter().map(|l| l.neurons.dim()).collect();
-                LayerDecoder::new(payload, &wanted, &dims)
-            });
-            for (idx, layer) in thread_workload.layers.iter().enumerate() {
-                let view = layer.view();
-                let arts = match decoder.as_mut().and_then(LayerDecoder::next_layer) {
-                    Some(arts) => arts,
-                    None => {
-                        // No usable entry, or a mid-stream decode
-                        // failure: drop the decoder (a failed stream
-                        // must not misalign later layers) and encode
-                        // fresh — bit-identical either way.
-                        decoder = None;
-                        build_layer_artifacts(&wanted, &view)
-                    }
-                };
-                let traffic = match preloaded.as_ref().map(|t| &t[idx]) {
-                    Some(table) => *table,
-                    None if share_traffic => count_traffic(&lead, &view),
-                    None => AccessCounters::new(),
-                };
-                let streamed = decoder.as_ref().is_some_and(LayerDecoder::fully_consumed);
-                let (state, cv) = &*thread_state;
-                let mut g = state.lock().unwrap_or_else(PoisonError::into_inner);
-                g.built[idx] = Some((arts, traffic));
-                if Some(idx) == last && encoded_probe.is_some() {
-                    // Settled in the same critical section as the final
-                    // layer: consumers that saw every layer read the
-                    // disk's true answer, never a racing placeholder.
-                    g.encoded_outcome =
-                        if streamed { CacheOutcome::Hit } else { CacheOutcome::Miss };
-                }
-                drop(g);
-                cv.notify_all();
-            }
-        };
-        PipelinedBuild {
-            state,
-            // Deferred: the first consumer spawns the builder (see the
-            // field's doc) — this call stays free of a runnable thread.
-            launch: Mutex::new(Launch::Pending(Arc::new(build_all))),
-            lead,
-            share_traffic,
-            layer_count,
-            store_key,
-            encoded_pending,
-            traffic_outcome,
+    /// As [`SharedEncodedNetwork::artifacts`] and
+    /// [`PipelinedBuild::artifacts`].
+    pub fn layer(
+        &self,
+        layer: usize,
+        cfg: &PraConfig,
+    ) -> (Arc<LayerScheduler>, Option<AccessCounters>) {
+        match self {
+            Artifacts::Built(network) => network.artifacts(layer, cfg),
+            Artifacts::Building(build) => build.artifacts(layer, cfg),
         }
     }
 }
 
-/// Whether an [`ArtifactPool::get_or_build`] answered from memory or
-/// had to build — and, when it built, what each disk tier contributed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PoolOutcome {
-    /// Served from the in-memory pool; no disk access, no build.
-    Pooled,
-    /// Built this call, resolving through the store's tiers.
-    Built(StoreOutcomes),
+impl<'a> From<&'a SharedEncodedNetwork> for Artifacts<'a> {
+    fn from(network: &'a SharedEncodedNetwork) -> Self {
+        Artifacts::Built(network)
+    }
 }
 
-impl PoolOutcome {
-    /// `true` exactly when the answer came from the in-memory pool.
-    pub fn pool_hit(&self) -> bool {
-        matches!(self, PoolOutcome::Pooled)
+impl<'a> From<&'a PipelinedBuild> for Artifacts<'a> {
+    fn from(build: &'a PipelinedBuild) -> Self {
+        Artifacts::Building(build)
     }
 }
 
@@ -836,9 +681,12 @@ impl PoolOutcome {
 /// artifacts, keyed by workload identity (network, representation,
 /// seed) plus the exact design-point set — the *batch-to-batch* reuse
 /// layer of the serving path (DESIGN.md §10), and the top tier of the
-/// pool → disk → generate resolution order: a miss here falls through
-/// to the [`ArtifactStore`]'s on-disk tiers (§9, §15) before any
-/// generation or encoding is paid for. The workload tensor and every
+/// pool → disk → generate resolution order: a miss in
+/// [`ArtifactPool::claim`] falls through to
+/// [`SharedEncodedNetwork::start_pipelined`], which consults the
+/// [`ArtifactStore`]'s on-disk tiers (§9, §15) before any encoding is
+/// paid for, and the finished build is pooled by
+/// [`PoolClaim::insert`]. The workload tensor and every
 /// mask/schedule/traffic artifact are handed out as shared [`Arc`]s,
 /// so a hit costs two pointer clones instead of a rebuild.
 ///
@@ -851,39 +699,76 @@ impl PoolOutcome {
 /// artifacts are immutable once built.
 pub struct ArtifactPool {
     capacity: usize,
-    entries: std::sync::Mutex<Vec<PoolEntry>>,
+    state: Mutex<PoolState>,
+    /// Signalled whenever a [`PoolClaim`] is released.
+    released: Condvar,
 }
 
-struct PoolEntry {
+#[derive(Default)]
+struct PoolState {
+    entries: Vec<PoolEntry>,
+    /// Keys a [`PoolClaim`] holder is building right now.
+    claimed: Vec<PoolKey>,
+}
+
+#[derive(Clone, PartialEq)]
+struct PoolKey {
     network: pra_workloads::Network,
     repr: Representation,
     seed: u64,
     configs: Vec<PraConfig>,
+}
+
+struct PoolEntry {
+    key: PoolKey,
     workload: Arc<NetworkWorkload>,
     shared: Arc<SharedEncodedNetwork>,
+}
+
+impl PoolKey {
+    fn new(
+        configs: &[PraConfig],
+        network: pra_workloads::Network,
+        repr: Representation,
+        seed: u64,
+    ) -> Self {
+        PoolKey { network, repr, seed, configs: configs.to_vec() }
+    }
+}
+
+impl PoolState {
+    /// `key`'s handles, marking its entry most-recently-used.
+    fn hit(&mut self, key: &PoolKey) -> Option<(Arc<NetworkWorkload>, Arc<SharedEncodedNetwork>)> {
+        let idx = self.entries.iter().position(|e| e.key == *key)?;
+        let entry = self.entries.remove(idx);
+        let out = (Arc::clone(&entry.workload), Arc::clone(&entry.shared));
+        self.entries.insert(0, entry);
+        Some(out)
+    }
 }
 
 impl ArtifactPool {
     /// A pool holding at most `capacity` workload+artifact pairs.
     pub fn new(capacity: usize) -> Self {
-        Self { capacity: capacity.max(1), entries: std::sync::Mutex::new(Vec::new()) }
+        Self { capacity: capacity.max(1), state: Mutex::default(), released: Condvar::new() }
     }
 
-    /// Locks the entry list, recovering from poisoning. A worker that
+    /// Locks the pool, recovering from poisoning. A worker that
     /// panicked while holding the lock cannot leave a half-mutated
     /// entry behind — entries are immutable `Arc` bundles and the list
-    /// operations (`remove`/`insert`/`truncate`) never unwind midway —
-    /// so the pool keeps serving instead of cascading the panic into
-    /// every later batch. Defense in depth for the case a panicking
-    /// *build* published something suspect anyway is [`Self::evict`],
-    /// which the serve supervisor calls for the dead worker's key.
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<PoolEntry>> {
-        self.entries.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    /// operations (`remove`/`insert`/`truncate`/`retain`) never unwind
+    /// midway — so the pool keeps serving instead of cascading the
+    /// panic into every later batch. Defense in depth for the case a
+    /// panicking *build* published something suspect anyway is
+    /// [`Self::evict`], which the serve supervisor calls for the dead
+    /// worker's key.
+    fn lock(&self) -> MutexGuard<'_, PoolState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Pooled entries currently held.
     pub fn len(&self) -> usize {
-        self.lock().len()
+        self.lock().entries.len()
     }
 
     /// `true` when nothing is pooled yet.
@@ -891,10 +776,8 @@ impl ArtifactPool {
         self.len() == 0
     }
 
-    /// A hit-only probe: the pooled workload and artifacts for the key,
-    /// or `None` without building anything. Lets cheap consumers (e.g.
-    /// a baselines-only batch that would never pay for an encode) still
-    /// profit from artifacts a richer batch already built.
+    /// The pooled workload and artifacts for the key (marking the entry
+    /// most-recently-used), or `None` without building or waiting.
     pub fn lookup(
         &self,
         configs: &[PraConfig],
@@ -902,70 +785,40 @@ impl ArtifactPool {
         repr: Representation,
         seed: u64,
     ) -> Option<(Arc<NetworkWorkload>, Arc<SharedEncodedNetwork>)> {
-        let mut entries = self.lock();
-        let idx = entries.iter().position(|e| {
-            e.network == network && e.repr == repr && e.seed == seed && e.configs == configs
-        })?;
-        let entry = entries.remove(idx);
-        let out = (Arc::clone(&entry.workload), Arc::clone(&entry.shared));
-        entries.insert(0, entry);
-        Some(out)
+        self.lock().hit(&PoolKey::new(configs, network, repr, seed))
     }
 
-    /// Returns the workload and shared artifacts for `(network, repr,
-    /// seed)` under exactly `configs`, resolving pool → disk →
-    /// generate: from the pool when present (marking the entry
-    /// most-recently-used), otherwise built through `store` — the
-    /// workload via [`ArtifactStore::workload`], the artifacts via
-    /// [`SharedEncodedNetwork::from_workload_stored`] — and pooled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `configs` is empty (the shared build needs at least
-    /// one design point).
-    pub fn get_or_build(
+    /// [`ArtifactPool::lookup`] for a caller that builds on a miss: the
+    /// miss hands back the key's [`PoolClaim`], and a caller that
+    /// misses while another holds the claim waits for its release (the
+    /// claimant's insert, or its unwind) and looks again. Concurrent
+    /// misses on one key therefore cost one build, and no worker of a
+    /// process reads back an encoded entry another one just published.
+    pub fn claim(
         &self,
         configs: &[PraConfig],
         network: pra_workloads::Network,
         repr: Representation,
         seed: u64,
-        store: &ArtifactStore,
-    ) -> (Arc<NetworkWorkload>, Arc<SharedEncodedNetwork>, PoolOutcome) {
-        assert!(!configs.is_empty(), "ArtifactPool needs at least one configuration");
-        if let Some((workload, shared)) = self.lookup(configs, network, repr, seed) {
-            return (workload, shared, PoolOutcome::Pooled);
+    ) -> Result<(Arc<NetworkWorkload>, Arc<SharedEncodedNetwork>), PoolClaim<'_>> {
+        let key = PoolKey::new(configs, network, repr, seed);
+        let mut state = self.lock();
+        loop {
+            if let Some(hit) = state.hit(&key) {
+                return Ok(hit);
+            }
+            if !state.claimed.contains(&key) {
+                state.claimed.push(key.clone());
+                return Err(PoolClaim { pool: self, key });
+            }
+            state = self.released.wait(state).unwrap_or_else(PoisonError::into_inner);
         }
-        // Build outside the lock: a slow build must not serialize other
-        // workers' pool hits (two racing builders of one key waste one
-        // build, which is benign — last insert wins).
-        let (workload, _) = store.workload(network, repr, seed);
-        let workload = Arc::new(workload);
-        let (shared, outcomes) =
-            SharedEncodedNetwork::from_workload_stored(configs, &workload, seed, store);
-        let shared = Arc::new(shared);
-        let mut entries = self.lock();
-        entries.insert(
-            0,
-            PoolEntry {
-                network,
-                repr,
-                seed,
-                configs: configs.to_vec(),
-                workload: Arc::clone(&workload),
-                shared: Arc::clone(&shared),
-            },
-        );
-        entries.truncate(self.capacity);
-        (workload, shared, PoolOutcome::Built(outcomes))
     }
 
-    /// Pools artifacts that were built *outside* the pool — the
-    /// pipelined serve path builds its [`SharedEncodedNetwork`]
-    /// layer-by-layer via [`PipelinedBuild`] and publishes the
-    /// assembled result here, so the next batch over the same key is a
-    /// plain [`ArtifactPool::lookup`] hit. Semantics match the build
-    /// tail of [`ArtifactPool::get_or_build`]: insert most-recently-
-    /// used, evict beyond capacity, last racing insert wins.
+    /// Pools a finished build as the most-recently-used entry, evicting
+    /// beyond capacity. An entry with the same key is replaced, never
+    /// duplicated: a duplicate would hold memory and push a live key
+    /// out early.
     pub fn insert(
         &self,
         network: pra_workloads::Network,
@@ -975,12 +828,11 @@ impl ArtifactPool {
         workload: Arc<NetworkWorkload>,
         shared: Arc<SharedEncodedNetwork>,
     ) {
-        let mut entries = self.lock();
-        entries.insert(
-            0,
-            PoolEntry { network, repr, seed, configs: configs.to_vec(), workload, shared },
-        );
-        entries.truncate(self.capacity);
+        let key = PoolKey::new(configs, network, repr, seed);
+        let mut state = self.lock();
+        state.entries.retain(|e| e.key != key);
+        state.entries.insert(0, PoolEntry { key, workload, shared });
+        state.entries.truncate(self.capacity);
     }
 
     /// Drops every pooled entry for `(network, repr, seed)`, whatever
@@ -991,22 +843,38 @@ impl ArtifactPool {
     /// while trusting a suspect entry could poison every later answer
     /// for that workload. Returns how many entries were dropped.
     pub fn evict(&self, network: pra_workloads::Network, repr: Representation, seed: u64) -> usize {
-        let mut entries = self.lock();
-        let before = entries.len();
-        entries.retain(|e| !(e.network == network && e.repr == repr && e.seed == seed));
-        before - entries.len()
+        let mut state = self.lock();
+        let before = state.entries.len();
+        state
+            .entries
+            .retain(|e| !(e.key.network == network && e.key.repr == repr && e.key.seed == seed));
+        before - state.entries.len()
     }
 }
 
-/// `true` when every configuration sees the same traffic view (chip,
-/// NM layout, representation) — the single definition behind both the
-/// build-time sharing decision and the cached-table eligibility, so
-/// the two can never diverge if the view ever grows a field.
-fn agree_on_traffic_view(configs: &[PraConfig]) -> bool {
-    let lead = configs[0];
-    configs
-        .iter()
-        .all(|c| c.chip == lead.chip && c.nm_layout == lead.nm_layout && c.repr == lead.repr)
+/// The right to build one [`ArtifactPool`] key, held from a
+/// [`ArtifactPool::claim`] miss until [`PoolClaim::insert`] pools the
+/// result — or until dropped unused, e.g. while its holder unwinds, so
+/// a panicking build never strands the callers waiting on it.
+pub struct PoolClaim<'a> {
+    pool: &'a ArtifactPool,
+    key: PoolKey,
+}
+
+impl PoolClaim<'_> {
+    /// Pools the finished build under the claimed key, then releases
+    /// the claim: every caller waiting on it finds the entry.
+    pub fn insert(self, workload: Arc<NetworkWorkload>, shared: Arc<SharedEncodedNetwork>) {
+        let key = &self.key;
+        self.pool.insert(key.network, key.repr, key.seed, &key.configs, workload, shared);
+    }
+}
+
+impl Drop for PoolClaim<'_> {
+    fn drop(&mut self) {
+        self.pool.lock().claimed.retain(|k| *k != self.key);
+        self.pool.released.notify_all();
+    }
 }
 
 /// Compile-time fingerprint of the traffic-counting pipeline's sources
@@ -1155,22 +1023,17 @@ pub(crate) fn test_toy_workload() -> NetworkWorkload {
 mod tests {
     use super::*;
     use crate::config::Encoding;
-    use pra_fixed::PrecisionWindow;
-    use pra_tensor::{ConvLayerSpec, Tensor3};
-    use pra_workloads::{LayerWorkload, Representation};
-
-    fn toy_layer() -> LayerWorkload {
-        let spec = ConvLayerSpec::new("toy", (12, 6, 32), (3, 3), 32, 1, 1).unwrap();
-        LayerWorkload {
-            neurons: Tensor3::from_fn(spec.input, |x, y, i| ((x * 31 + y * 7 + i) % 777) as u16),
-            spec,
-            window: PrecisionWindow::with_width(9, 2),
-            stripes_precision: 9,
-        }
-    }
+    use pra_workloads::Representation;
 
     fn toy_workload() -> NetworkWorkload {
         test_toy_workload()
+    }
+
+    /// The toy workload cut to its first layer.
+    fn one_layer() -> NetworkWorkload {
+        let mut w = test_toy_workload();
+        w.layers.truncate(1);
+        w
     }
 
     /// A store over a fresh scratch directory (removed on drop misuse
@@ -1189,57 +1052,88 @@ mod tests {
         ArtifactStore::at_default().no_disk()
     }
 
+    fn run_all(
+        configs: &[PraConfig],
+        workload: &NetworkWorkload,
+        artifacts: Artifacts<'_>,
+    ) -> Vec<pra_sim::RunResult> {
+        configs.iter().map(|c| crate::run_shared(c, workload, artifacts, |_, _| {})).collect()
+    }
+
+    /// Pool → disk → generate, as the serve batch worker resolves a
+    /// key: a pooled hit, else one pipelined build under the key's
+    /// claim, finished and pooled. `true` in the last slot marks a hit.
+    fn resolve(
+        pool: &ArtifactPool,
+        configs: &[PraConfig],
+        net: pra_workloads::Network,
+        seed: u64,
+        store: &ArtifactStore,
+    ) -> (Arc<NetworkWorkload>, Arc<SharedEncodedNetwork>, bool) {
+        let repr = Representation::Fixed16;
+        match pool.claim(configs, net, repr, seed) {
+            Ok((w, s)) => (w, s, true),
+            Err(claim) => {
+                let w = Arc::new(store.workload(net, repr, seed).0);
+                let build = SharedEncodedNetwork::start_pipelined(configs, &w, seed, store);
+                let s = Arc::new(build.finish(store));
+                claim.insert(Arc::clone(&w), Arc::clone(&s));
+                (w, s, false)
+            }
+        }
+    }
+
     #[test]
     fn equal_scheduler_configs_share_one_scheduler() {
-        let layer = toy_layer();
         let configs = [
             PraConfig::two_stage(2, Representation::Fixed16),
             PraConfig::per_column(1, Representation::Fixed16),
             PraConfig::single_stage(Representation::Fixed16),
         ];
-        let shared = SharedEncodedNetwork::build(&configs, &[layer.view()]);
+        let shared = SharedEncodedNetwork::from_workload(&configs, &one_layer());
         // PRA-2b and PRA-2b-1R agree on (key, scheduler): same Arc.
-        let a = shared.scheduler(0, &configs[0]);
-        let b = shared.scheduler(0, &configs[1]);
-        assert!(Arc::ptr_eq(a, b), "equal scheduler configs must share the memo");
+        let a = shared.artifacts(0, &configs[0]).0;
+        let b = shared.artifacts(0, &configs[1]).0;
+        assert!(Arc::ptr_eq(&a, &b), "equal scheduler configs must share the memo");
         // PRA-4b differs in L but shares the mask buffer.
-        let c = shared.scheduler(0, &configs[2]);
-        assert!(!Arc::ptr_eq(a, c));
+        let c = shared.artifacts(0, &configs[2]).0;
+        assert!(!Arc::ptr_eq(&a, &c));
         assert!(Arc::ptr_eq(a.encoded_arc(), c.encoded_arc()), "same key must share masks");
     }
 
     #[test]
     fn distinct_encodings_get_distinct_masks() {
-        let layer = toy_layer();
         let csd = PraConfig {
             encoding: Encoding::Csd,
             ..PraConfig::two_stage(2, Representation::Fixed16)
         };
         let one = PraConfig::two_stage(2, Representation::Fixed16);
-        let shared = SharedEncodedNetwork::build(&[one, csd], &[layer.view()]);
-        let a = shared.scheduler(0, &one);
-        let b = shared.scheduler(0, &csd);
+        let shared = SharedEncodedNetwork::from_workload(&[one, csd], &one_layer());
+        let a = shared.artifacts(0, &one).0;
+        let b = shared.artifacts(0, &csd).0;
         assert!(!Arc::ptr_eq(a.encoded_arc(), b.encoded_arc()));
     }
 
     #[test]
     fn traffic_shared_only_under_matching_chip_view() {
-        let layer = toy_layer();
+        let layer = one_layer();
         let one = PraConfig::two_stage(2, Representation::Fixed16);
-        let shared = SharedEncodedNetwork::build(&[one], &[layer.view()]);
-        assert!(shared.traffic_for(0, &one).is_some());
+        let shared = SharedEncodedNetwork::from_workload(&[one], &layer);
+        assert!(shared.artifacts(0, &one).1.is_some());
         assert!(shared.traffic_view(&one.chip, one.nm_layout, one.repr).is_some());
         // A consumer whose chip view differs gets nothing — even though
         // its scheduler parameters match, it must count its own traffic.
         let row_major = PraConfig { nm_layout: NmLayout::RowMajor, ..one };
-        let _ = shared.scheduler(0, &row_major); // schedules DO match
-        assert!(shared.traffic_for(0, &row_major).is_none(), "layout ablation must not reuse");
+        let (_, traffic) = shared.artifacts(0, &row_major); // schedules DO match
+        assert!(traffic.is_none(), "layout ablation must not reuse");
         assert!(shared.traffic_view(&one.chip, NmLayout::RowMajor, one.repr).is_none());
+        // A Quant8 consumer's view differs too (its scheduler lookup
+        // would panic on this Fixed16 build, so ask the view only).
+        assert!(shared.traffic_view(&one.chip, one.nm_layout, Representation::Quant8).is_none());
         let quant = PraConfig::two_stage(2, Representation::Quant8);
-        assert!(shared.traffic_for(0, &quant).is_none());
-        let mixed = SharedEncodedNetwork::build(&[one, quant], &[layer.view()]);
+        let mixed = SharedEncodedNetwork::from_workload(&[one, quant], &layer);
         assert!(
-            mixed.traffic_for(0, &one).is_none(),
+            mixed.artifacts(0, &one).1.is_none(),
             "mixed representations must not share traffic"
         );
     }
@@ -1293,7 +1187,7 @@ mod tests {
             CacheOutcome::Disabled,
             "disagreeing chip views have no shared table to cache"
         );
-        assert!(built.traffic_for(0, &one).is_none());
+        assert!(built.artifacts(0, &one).1.is_none());
         assert!(!dir.exists() || std::fs::read_dir(&dir).unwrap().next().is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1302,7 +1196,7 @@ mod tests {
     fn encoded_artifacts_round_trip_through_the_store() {
         let (dir, store) =
             scratch_store("encoded", &[ArtifactKind::Encoded, ArtifactKind::Traffic]);
-        let workload = toy_workload();
+        let workload = Arc::new(toy_workload());
         // Three design points, two distinct scheduler configs, one
         // encoding key — the real sweep's sharing shape.
         let configs = [
@@ -1310,32 +1204,33 @@ mod tests {
             PraConfig::single_stage(Representation::Fixed16),
             PraConfig::per_column(1, Representation::Fixed16),
         ];
-        let (cold, cold_out) =
-            SharedEncodedNetwork::from_workload_stored(&configs, &workload, 0xE, &store);
-        assert_eq!(cold_out.encoded, CacheOutcome::Miss);
-        // Warm the memos the way a real run would, then publish.
-        let cold_results: Vec<_> =
-            configs.iter().map(|c| crate::run_shared(c, &workload, &cold)).collect();
-        assert!(cold.publish_encoded(&store), "a missed build must publish");
-        assert!(!cold.publish_encoded(&store), "publication is once-only");
+        // Cold: the build misses, the sims warm the memos in flight,
+        // and `finish` publishes them.
+        let cold = SharedEncodedNetwork::start_pipelined(&configs, &workload, 0xE, &store);
+        let cold_results = run_all(&configs, &workload, (&cold).into());
+        assert_eq!(cold.encoded_outcome(), CacheOutcome::Miss);
+        let cold = cold.finish(&store);
         let (warm, warm_out) =
             SharedEncodedNetwork::from_workload_stored(&configs, &workload, 0xE, &store);
         assert_eq!(warm_out.encoded, CacheOutcome::Hit, "second build must load the entry");
-        assert!(!warm.publish_encoded(&store), "a hit has nothing to publish");
         // The loaded artifacts reconstruct the sharing invariant …
-        let a = warm.scheduler(0, &configs[0]);
-        let b = warm.scheduler(0, &configs[2]);
-        assert!(Arc::ptr_eq(a, b), "equal scheduler configs must share the memo after a load");
-        let c = warm.scheduler(0, &configs[1]);
+        let a = warm.artifacts(0, &configs[0]).0;
+        let b = warm.artifacts(0, &configs[2]).0;
+        assert!(Arc::ptr_eq(&a, &b), "equal scheduler configs must share the memo after a load");
+        let c = warm.artifacts(0, &configs[1]).0;
         assert!(Arc::ptr_eq(a.encoded_arc(), c.encoded_arc()), "same key must share masks");
+        // … carry the memos the cold sims warmed …
+        assert_eq!(
+            a.memo_snapshot(),
+            cold.artifacts(0, &configs[0]).0.memo_snapshot(),
+            "the published entry must carry the warm memos"
+        );
         // … and produce bit-identical results.
-        for (cfg, cold_result) in configs.iter().zip(&cold_results) {
-            assert_eq!(
-                &crate::run_shared(cfg, &workload, &warm),
-                cold_result,
-                "warm artifacts must be invisible in the results"
-            );
-        }
+        assert_eq!(
+            run_all(&configs, &workload, (&warm).into()),
+            cold_results,
+            "warm artifacts must be invisible in the results"
+        );
         // A different seed is a different entry (masks depend on values).
         let (_, other_seed) =
             SharedEncodedNetwork::from_workload_stored(&configs, &workload, 0xF, &store);
@@ -1358,8 +1253,8 @@ mod tests {
         assert_eq!(out.encoded, CacheOutcome::Hit, "finish must have published");
         assert_eq!(out.traffic, CacheOutcome::Hit, "finish must have published traffic too");
         assert_eq!(
-            crate::run_shared(&configs[0], &workload, &warm),
-            crate::run_shared(&configs[0], &workload, &cold),
+            run_all(&configs, &workload, (&warm).into()),
+            run_all(&configs, &workload, (&cold).into()),
             "pipelined-published artifacts must be invisible in the results"
         );
         // And a warm pipelined start consumes the entry.
@@ -1367,7 +1262,56 @@ mod tests {
         let (sched, traffic) = pipe.artifacts(0, &configs[0]);
         assert!(traffic.is_some());
         let reloaded = pipe.finish(&store);
-        assert!(Arc::ptr_eq(&sched, reloaded.scheduler(0, &configs[0])));
+        assert!(Arc::ptr_eq(&sched, &reloaded.artifacts(0, &configs[0]).0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_stream_cut_inside_layer_one_falls_back_and_repairs() {
+        let (dir, store) = scratch_store("midstream", &[ArtifactKind::Encoded]);
+        let workload = Arc::new(toy_workload());
+        let configs = [
+            PraConfig::two_stage(2, Representation::Fixed16),
+            PraConfig::single_stage(Representation::Fixed16),
+        ];
+        let seed = 0xC7;
+        let expected = run_all(
+            &configs,
+            &workload,
+            (&SharedEncodedNetwork::from_workload(&configs, &workload)).into(),
+        );
+
+        // A memo-warm build whose payload is then cut 20 bytes into
+        // layer 1 and stored under the real key: the container is valid
+        // (its checksum covers the cut bytes), so only the streaming
+        // decoder can notice.
+        let warm = SharedEncodedNetwork::start_pipelined(&configs, &workload, seed, &store);
+        let _ = run_all(&configs, &workload, (&warm).into());
+        let warm = warm.finish(&store);
+        let wanted = wanted_pairs(&configs);
+        let payload = encode_layers(&warm.layers, &wanted);
+        let layer_one_starts = encode_layers(&warm.layers[..1], &wanted).len();
+        assert!(payload.len() > layer_one_starts + 20, "the toy layer is larger than the cut");
+        let cache = store.cache_for(ArtifactKind::Encoded).expect("tier enabled");
+        let key = encoded_key(&workload, seed, &wanted);
+        cache
+            .store(ENCODED_KIND, ENCODER_VERSION, &key, &payload[..layer_one_starts + 20])
+            .expect("plant the cut entry");
+
+        let unset = |s: &LayerScheduler| s.memo_snapshot().iter().all(|&m| m == u64::MAX);
+        let pipe = SharedEncodedNetwork::start_pipelined(&configs, &workload, seed, &store);
+        let (layer0, _) = pipe.artifacts(0, &configs[0]);
+        assert!(!unset(&layer0), "layer 0 must stream off disk with its warm memo");
+        let (layer1, _) = pipe.artifacts(1, &configs[0]);
+        assert!(unset(&layer1), "layer 1 must be re-encoded fresh after the cut");
+        assert_eq!(pipe.encoded_outcome(), CacheOutcome::Miss, "a cut stream is not a hit");
+        assert_eq!(run_all(&configs, &workload, (&pipe).into()), expected);
+        let _ = pipe.finish(&store);
+
+        // `finish` republished a whole entry: the next start streams it.
+        let pipe = SharedEncodedNetwork::start_pipelined(&configs, &workload, seed, &store);
+        assert_eq!(run_all(&configs, &workload, (&pipe).into()), expected);
+        assert_eq!(pipe.encoded_outcome(), CacheOutcome::Hit, "the repaired entry must load");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1377,28 +1321,73 @@ mod tests {
         let store = memless();
         let configs = [PraConfig::two_stage(2, Representation::Fixed16)];
         let net = pra_workloads::Network::AlexNet;
-        let (w1, s1, out1) = pool.get_or_build(&configs, net, Representation::Fixed16, 0xA, &store);
-        assert!(!out1.pool_hit(), "first batch builds");
-        assert_eq!(
-            out1,
-            PoolOutcome::Built(StoreOutcomes {
-                encoded: CacheOutcome::Disabled,
-                traffic: CacheOutcome::Disabled,
-            }),
-            "a diskless store reports both tiers off"
-        );
-        let (w2, s2, out2) = pool.get_or_build(&configs, net, Representation::Fixed16, 0xA, &store);
-        assert!(out2.pool_hit(), "second batch reuses");
+        let (w1, s1, hit1) = resolve(&pool, &configs, net, 0xA, &store);
+        assert!(!hit1, "first batch builds");
+        let (w2, s2, hit2) = resolve(&pool, &configs, net, 0xA, &store);
+        assert!(hit2, "second batch reuses");
         assert!(Arc::ptr_eq(&w1, &w2), "the workload handle is shared, not rebuilt");
         assert!(Arc::ptr_eq(&s1, &s2), "the artifact handle is shared, not rebuilt");
         // A different seed is a different workload: no reuse.
-        let (_, s3, out3) = pool.get_or_build(&configs, net, Representation::Fixed16, 0xB, &store);
-        assert!(!out3.pool_hit());
+        let (_, s3, hit3) = resolve(&pool, &configs, net, 0xB, &store);
+        assert!(!hit3);
         assert!(!Arc::ptr_eq(&s1, &s3));
         // A different design-point set never borrows mismatched artifacts.
         let other = [PraConfig::single_stage(Representation::Fixed16)];
         assert!(pool.lookup(&other, net, Representation::Fixed16, 0xA).is_none());
         assert!(pool.lookup(&configs, net, Representation::Fixed16, 0xA).is_some());
+    }
+
+    #[test]
+    fn artifact_pool_insert_replaces_an_entry_with_the_same_key() {
+        let pool = ArtifactPool::new(4);
+        let configs = [PraConfig::two_stage(2, Representation::Fixed16)];
+        let (net, repr) = (pra_workloads::Network::AlexNet, Representation::Fixed16);
+        let workload = Arc::new(one_layer());
+        let build = || Arc::new(SharedEncodedNetwork::from_workload(&configs, &workload));
+        // Two workers that both missed one key both insert.
+        let (first, second) = (build(), build());
+        pool.insert(net, repr, 7, &configs, Arc::clone(&workload), first);
+        pool.insert(net, repr, 7, &configs, Arc::clone(&workload), Arc::clone(&second));
+        assert_eq!(pool.len(), 1, "one key must hold one entry");
+        let (_, pooled) = pool.lookup(&configs, net, repr, 7).expect("pooled");
+        assert!(Arc::ptr_eq(&pooled, &second), "the newest insert wins");
+        // Another design-point set under the same workload is another key.
+        let other = [PraConfig::single_stage(Representation::Fixed16)];
+        let built = Arc::new(SharedEncodedNetwork::from_workload(&other, &workload));
+        pool.insert(net, repr, 7, &other, Arc::clone(&workload), built);
+        assert_eq!(pool.len(), 2);
+    }
+
+    #[test]
+    fn concurrent_misses_on_one_key_cost_one_build() {
+        let pool = ArtifactPool::new(4);
+        let configs = [PraConfig::two_stage(2, Representation::Fixed16)];
+        let (net, repr) = (pra_workloads::Network::AlexNet, Representation::Fixed16);
+        let workload = Arc::new(one_layer());
+        let pause = std::time::Duration::from_millis(50);
+        let Err(claim) = pool.claim(&configs, net, repr, 7) else {
+            panic!("an empty pool must miss");
+        };
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| pool.claim(&configs, net, repr, 7).ok().map(|(_, s)| s));
+            std::thread::sleep(pause);
+            assert!(!waiter.is_finished(), "a second miss must wait for the claimant");
+            let built = Arc::new(SharedEncodedNetwork::from_workload(&configs, &workload));
+            claim.insert(Arc::clone(&workload), Arc::clone(&built));
+            let got = waiter.join().unwrap().expect("the waiter must find the claimant's build");
+            assert!(Arc::ptr_eq(&got, &built), "one build serves both misses");
+        });
+        // A claim dropped unused — its builder unwound — passes to the
+        // next caller instead of stranding it.
+        let Err(claim) = pool.claim(&configs, net, repr, 8) else {
+            panic!("an unpooled key must miss");
+        };
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| pool.claim(&configs, net, repr, 8).is_err());
+            std::thread::sleep(pause);
+            drop(claim);
+            assert!(waiter.join().unwrap(), "the waiter must get the released claim");
+        });
     }
 
     #[test]
@@ -1408,9 +1397,8 @@ mod tests {
         let configs = [PraConfig::two_stage(2, Representation::Fixed16)];
         let net = pra_workloads::Network::AlexNet;
         for seed in [1u64, 2, 3] {
-            let (_, _, out) =
-                pool.get_or_build(&configs, net, Representation::Fixed16, seed, &store);
-            assert!(!out.pool_hit());
+            let (_, _, hit) = resolve(&pool, &configs, net, seed, &store);
+            assert!(!hit);
         }
         assert_eq!(pool.len(), 2, "capacity binds");
         // Seed 1 was least recently used and fell out; 2 and 3 remain.
@@ -1420,8 +1408,8 @@ mod tests {
         // The lookup refreshed seed 2: inserting a fourth entry now
         // evicts 3, not 2.
         assert!(pool.lookup(&configs, net, Representation::Fixed16, 2).is_some());
-        let (_, _, out) = pool.get_or_build(&configs, net, Representation::Fixed16, 4, &store);
-        assert!(!out.pool_hit());
+        let (_, _, hit) = resolve(&pool, &configs, net, 4, &store);
+        assert!(!hit);
         assert!(pool.lookup(&configs, net, Representation::Fixed16, 2).is_some());
         assert!(pool.lookup(&configs, net, Representation::Fixed16, 3).is_none());
     }
@@ -1433,8 +1421,8 @@ mod tests {
         let configs = [PraConfig::two_stage(2, Representation::Fixed16)
             .with_fidelity(crate::Fidelity::Sampled { max_pallets: 2 })];
         let net = pra_workloads::Network::AlexNet;
-        let (w, s, _) = pool.get_or_build(&configs, net, Representation::Fixed16, 0xC, &store);
-        let pooled = crate::run_shared(&configs[0], &w, &s);
+        let (w, s, _) = resolve(&pool, &configs, net, 0xC, &store);
+        let pooled = crate::run_shared(&configs[0], &w, &*s, |_, _| {});
         let direct =
             crate::run(&configs[0], &NetworkWorkload::build(net, Representation::Fixed16, 0xC));
         assert_eq!(pooled, direct, "pool reuse must be invisible in the results");
@@ -1446,40 +1434,39 @@ mod tests {
         let store = memless();
         let configs = [PraConfig::two_stage(2, Representation::Fixed16)];
         let net = pra_workloads::Network::AlexNet;
-        let (_, _, out) = pool.get_or_build(&configs, net, Representation::Fixed16, 0xA, &store);
-        assert!(!out.pool_hit());
+        let (_, _, hit) = resolve(&pool, &configs, net, 0xA, &store);
+        assert!(!hit);
         // Poison the pool mutex the way a panicking worker would: die
         // while holding it mid-operation.
         let p2 = Arc::clone(&pool);
         let panicked = std::thread::spawn(move || {
-            let _guard = p2.entries.lock().unwrap();
+            let _guard = p2.state.lock().unwrap();
             panic!("injected: worker died holding the pool lock");
         })
         .join();
         assert!(panicked.is_err(), "the poisoning thread must have panicked");
-        assert!(pool.entries.is_poisoned(), "the lock must actually be poisoned");
+        assert!(pool.state.is_poisoned(), "the lock must actually be poisoned");
         // Every pool operation keeps working on the recovered state.
         assert_eq!(pool.len(), 1);
         assert!(pool.lookup(&configs, net, Representation::Fixed16, 0xA).is_some());
-        let (_, _, out) = pool.get_or_build(&configs, net, Representation::Fixed16, 0xA, &store);
-        assert!(out.pool_hit(), "the surviving entry still serves hits after recovery");
+        let (_, _, hit) = resolve(&pool, &configs, net, 0xA, &store);
+        assert!(hit, "the surviving entry still serves hits after recovery");
         // Supervisor-style eviction drops the suspect workload's entry
         // (and only that one), forcing the next batch to rebuild.
-        let (_, _, _) = pool.get_or_build(&configs, net, Representation::Fixed16, 0xB, &store);
+        let _ = resolve(&pool, &configs, net, 0xB, &store);
         assert_eq!(pool.evict(net, Representation::Fixed16, 0xA), 1);
         assert_eq!(pool.evict(net, Representation::Fixed16, 0xA), 0, "evict is idempotent");
         assert!(pool.lookup(&configs, net, Representation::Fixed16, 0xA).is_none());
         assert!(pool.lookup(&configs, net, Representation::Fixed16, 0xB).is_some());
-        let (_, _, out) = pool.get_or_build(&configs, net, Representation::Fixed16, 0xA, &store);
-        assert!(!out.pool_hit(), "an evicted entry rebuilds");
+        let (_, _, hit) = resolve(&pool, &configs, net, 0xA, &store);
+        assert!(!hit, "an evicted entry rebuilds");
     }
 
     #[test]
     #[should_panic(expected = "not built for")]
     fn missing_configuration_panics() {
-        let layer = toy_layer();
         let one = PraConfig::two_stage(2, Representation::Fixed16);
-        let shared = SharedEncodedNetwork::build(&[one], &[layer.view()]);
-        let _ = shared.scheduler(0, &PraConfig::single_stage(Representation::Fixed16));
+        let shared = SharedEncodedNetwork::from_workload(&[one], &one_layer());
+        let _ = shared.artifacts(0, &PraConfig::single_stage(Representation::Fixed16));
     }
 }

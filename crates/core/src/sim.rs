@@ -17,7 +17,7 @@
 //! against.
 
 use pra_engines::shared_traffic;
-use pra_sim::{AccessCounters, ChipConfig, Dispatcher, LayerResult, NeuronMemory, RunResult};
+use pra_sim::{AccessCounters, Dispatcher, LayerResult, NeuronMemory, RunResult};
 use pra_tensor::brick::{brick_for, brick_steps, fetch_pallet_step, pallets, BrickStep, PalletRef};
 use pra_tensor::{ConvLayerSpec, BRICK, PALLET};
 use pra_workloads::{LayerView, LayerWorkload, NetworkWorkload};
@@ -26,7 +26,7 @@ use rayon::prelude::*;
 use crate::column::{csd_mask, schedule_brick_with, ColumnSchedule};
 use crate::config::{Encoding, Fidelity, PraConfig, SyncPolicy};
 use crate::schedule::LayerScheduler;
-use crate::shared::{PipelinedBuild, SharedEncodedNetwork};
+use crate::shared::Artifacts;
 use crate::tile::{column_sync, pallet_sync, PalletOutcome};
 
 /// Simulates one layer on the configured Pragmatic design point.
@@ -58,8 +58,8 @@ pub fn simulate_layer_view_with(
 /// shared) [`LayerScheduler`], optionally reusing precomputed NM/SB
 /// traffic counters. Cycle-for-cycle identical to [`simulate_layer_view`]
 /// when the scheduler was built for `cfg`'s encoding key, scheduler
-/// parameters and the layer's window — [`SharedEncodedNetwork`] enforces
-/// that pairing.
+/// parameters and the layer's window — [`crate::SharedEncodedNetwork`]
+/// enforces that pairing.
 pub fn simulate_layer_shared(
     cfg: &PraConfig,
     layer: LayerView<'_>,
@@ -319,101 +319,55 @@ pub fn run(cfg: &PraConfig, workload: &NetworkWorkload) -> RunResult {
     result
 }
 
-/// [`run`] against the build-once artifacts of a [`SharedEncodedNetwork`]:
-/// every layer borrows its shared scheduler (and, when available, the
-/// engine-independent traffic counters) instead of re-encoding and
-/// re-scheduling per design point. Cycle-for-cycle identical to [`run`].
+/// [`run`] against build-once shared artifacts — a finished
+/// [`SharedEncodedNetwork`] or a [`PipelinedBuild`] still in flight
+/// (see [`Artifacts`]): every layer borrows its shared scheduler (and,
+/// when available, the engine-independent traffic counters) instead of
+/// re-encoding and re-scheduling per design point. Against an in-flight
+/// build, layer `idx` simulates as soon as the builder has produced it,
+/// so encoding of layer *n + 1* overlaps simulation of layer *n*.
+/// `on_layer(idx, partial)` fires the moment layer `idx` finishes, with
+/// the run result accumulated so far — the serving tier's v2 streaming
+/// hook (each call becomes one `layer_result` wire frame). Neither the
+/// artifact source nor the observer changes the result: cycle-for-cycle
+/// identical to [`run`].
 ///
 /// # Panics
 ///
-/// Panics if `shared` was built for a different workload shape or does
-/// not cover `cfg` (see [`SharedEncodedNetwork::scheduler`]).
-pub fn run_shared(
+/// Panics if the artifacts do not cover `cfg` or the workload's layers
+/// (see [`SharedEncodedNetwork::artifacts`]), or if an in-flight
+/// build's builder died mid-build.
+///
+/// [`SharedEncodedNetwork`]: crate::SharedEncodedNetwork
+/// [`SharedEncodedNetwork::artifacts`]: crate::SharedEncodedNetwork::artifacts
+/// [`PipelinedBuild`]: crate::PipelinedBuild
+pub fn run_shared<'a>(
     cfg: &PraConfig,
     workload: &NetworkWorkload,
-    shared: &SharedEncodedNetwork,
-) -> RunResult {
-    run_shared_streaming(cfg, workload, shared, |_, _| {})
-}
-
-/// [`run_shared`] with a per-layer observer: `on_layer(idx, partial)`
-/// fires the moment layer `idx` finishes simulating, with the run
-/// result accumulated so far — the serving tier's v2 streaming hook
-/// (each call becomes one `layer_result` wire frame). The observer
-/// never changes the result: the returned [`RunResult`] is identical
-/// to [`run_shared`]'s.
-///
-/// # Panics
-///
-/// Panics if `shared` was built for a different workload shape or does
-/// not cover `cfg` (see [`SharedEncodedNetwork::scheduler`]).
-pub fn run_shared_streaming(
-    cfg: &PraConfig,
-    workload: &NetworkWorkload,
-    shared: &SharedEncodedNetwork,
+    artifacts: impl Into<Artifacts<'a>>,
     mut on_layer: impl FnMut(usize, &RunResult),
 ) -> RunResult {
+    let artifacts = artifacts.into();
     assert_eq!(cfg.repr, workload.repr, "configuration representation must match the workload");
     assert_eq!(
-        shared.layer_count(),
+        artifacts.layer_count(),
         workload.layers.len(),
         "shared artifacts must cover every layer of the workload"
     );
     let mut result = RunResult::new(cfg.label());
     for (idx, layer) in workload.layers.iter().enumerate() {
-        result.layers.push(simulate_layer_shared(
-            cfg,
-            layer.view(),
-            shared.scheduler(idx, cfg),
-            shared.traffic_for(idx, cfg),
-        ));
-        on_layer(idx, &result);
-    }
-    result
-}
-
-/// [`run_shared_streaming`] against a [`PipelinedBuild`] still in
-/// flight: layer `idx` simulates as soon as the builder thread has
-/// encoded it, so encoding of layer *n + 1* overlaps simulation of
-/// layer *n* instead of the build-everything-then-simulate sequence.
-/// Cycle-for-cycle identical to [`run_shared`] over the finished
-/// build — only the schedule moves, never the arithmetic.
-///
-/// # Panics
-///
-/// Panics if the build does not cover `cfg` or the workload shape, or
-/// if the builder thread died mid-build.
-pub fn run_pipelined(
-    cfg: &PraConfig,
-    workload: &NetworkWorkload,
-    build: &PipelinedBuild,
-    mut on_layer: impl FnMut(usize, &RunResult),
-) -> RunResult {
-    assert_eq!(cfg.repr, workload.repr, "configuration representation must match the workload");
-    assert_eq!(
-        build.layer_count(),
-        workload.layers.len(),
-        "pipelined build must cover every layer of the workload"
-    );
-    let mut result = RunResult::new(cfg.label());
-    for (idx, layer) in workload.layers.iter().enumerate() {
-        let (sched, traffic) = build.artifacts(idx, cfg);
+        let (sched, traffic) = artifacts.layer(idx, cfg);
         result.layers.push(simulate_layer_shared(cfg, layer.view(), &sched, traffic.as_ref()));
         on_layer(idx, &result);
     }
     result
 }
 
-/// DaDianNao cycles for the same chip structure — a convenience re-export
-/// used when computing speedups.
-pub fn dadn_baseline(chip: &ChipConfig, workload: &NetworkWorkload) -> RunResult {
-    pra_engines::dadn::run(chip, workload)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pra_fixed::PrecisionWindow;
+    use pra_sim::ChipConfig;
     use pra_tensor::{ConvLayerSpec, Tensor3};
     use pra_workloads::Representation;
 

@@ -1,12 +1,15 @@
 //! The encoded-artifact store tier (DESIGN.md §15), end to end through
-//! the public API —
+//! the public API and the one build (`start_pipelined` → `run_shared`
+//! → `finish`, or `from_workload_stored` inline) —
 //!
 //!  1. cross-fidelity sharing: the encoded key deliberately excludes
 //!     [`Fidelity`], so a Sampled consumer loads the entry a Full build
-//!     published and simulates bit-identically to a fresh build;
+//!     published, simulates bit-identically to a fresh build, and
+//!     leaves the entry untouched;
 //!  2. fail-closed integrity: a corrupted or truncated entry is a miss,
-//!     never a mangled deserialize, and the rebuild regenerates results
-//!     byte-identical to the clean run;
+//!     never a mangled deserialize; the rebuild regenerates results
+//!     byte-identical to the clean run and `finish` repairs the entry
+//!     byte for byte;
 //!  3. racing writers: N threads missing on one key all publish, and
 //!     exactly one valid entry exists afterwards (atomic temp+rename).
 //!
@@ -16,9 +19,11 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use pra_core::{run_shared, Fidelity, PraConfig, SharedEncodedNetwork};
 use pra_fixed::PrecisionWindow;
+use pra_sim::RunResult;
 use pra_tensor::{ConvLayerSpec, Tensor3};
 use pra_workloads::cache::{ArtifactKind, ArtifactStore, CacheOutcome};
 use pra_workloads::{ActivationModel, LayerWorkload, Network, NetworkWorkload, Representation};
@@ -97,31 +102,45 @@ fn run_all(
     cfgs: &[PraConfig],
     workload: &NetworkWorkload,
     shared: &SharedEncodedNetwork,
-) -> Vec<pra_sim::RunResult> {
-    cfgs.iter().map(|c| run_shared(c, workload, shared)).collect()
+) -> Vec<RunResult> {
+    cfgs.iter().map(|c| run_shared(c, workload, shared, |_, _| {})).collect()
+}
+
+/// One build the way the sweep and the serve worker run it: start,
+/// simulate every config against the in-flight build (warming the memos
+/// the entry will carry), then `finish`, which publishes whatever the
+/// start missed. Returns the results and the encoded tier's outcome.
+fn build_and_run(
+    cfgs: &[PraConfig],
+    workload: &Arc<NetworkWorkload>,
+    store: &ArtifactStore,
+) -> (Vec<RunResult>, CacheOutcome) {
+    let build = SharedEncodedNetwork::start_pipelined(cfgs, workload, SEED, store);
+    let results = cfgs.iter().map(|c| run_shared(c, workload, &build, |_, _| {})).collect();
+    let outcome = build.encoded_outcome();
+    let _ = build.finish(store);
+    (results, outcome)
 }
 
 #[test]
 fn sampled_runs_are_bit_identical_off_a_full_built_entry() {
     let (dir, store) = scratch_store("xfid");
-    let workload = toy_workload();
+    let workload = Arc::new(toy_workload());
 
     // Cold Full-fidelity build: miss, simulate (warming the memos the
-    // entry will carry), publish once.
+    // entry will carry), publish in `finish`.
     let full = configs(Fidelity::Full);
-    let (built, out) = SharedEncodedNetwork::from_workload_stored(&full, &workload, SEED, &store);
-    assert_eq!(out.encoded, CacheOutcome::Miss, "fresh dir must miss");
-    let _ = run_all(&full, &workload, &built);
-    assert!(built.publish_encoded(&store), "armed miss must publish");
-    assert!(!built.publish_encoded(&store), "second publish must no-op");
+    let (_, out) = build_and_run(&full, &workload, &store);
+    assert_eq!(out, CacheOutcome::Miss, "fresh dir must miss");
     let entry = sole_encoded_entry(&dir);
+    let published = fs::read(&entry).expect("read published entry");
+    let stamp = fs::metadata(&entry).and_then(|m| m.modified()).expect("entry mtime");
 
     // A Sampled consumer hits the Full-built entry (fidelity is not in
     // the key: Sampled visits a subset of Full's bricks)…
     let sampled = configs(Fidelity::Sampled { max_pallets: 1 });
-    let (warm, out) = SharedEncodedNetwork::from_workload_stored(&sampled, &workload, SEED, &store);
-    assert_eq!(out.encoded, CacheOutcome::Hit, "fidelity must not enter the encoded key");
-    let warm_results = run_all(&sampled, &workload, &warm);
+    let (warm_results, out) = build_and_run(&sampled, &workload, &store);
+    assert_eq!(out, CacheOutcome::Hit, "fidelity must not enter the encoded key");
 
     // …and simulates bit-identically to a build that never saw disk.
     let fresh = SharedEncodedNetwork::from_workload(&sampled, &workload);
@@ -130,56 +149,62 @@ fn sampled_runs_are_bit_identical_off_a_full_built_entry() {
         run_all(&sampled, &workload, &fresh),
         "Sampled results must not depend on where the memos came from"
     );
-    // The hit armed nothing, so the entry bytes are exactly as published.
-    assert!(!warm.publish_encoded(&store), "a hit must not re-publish");
-    assert!(entry.is_file(), "the shared entry must survive the warm load");
+    // The hit published nothing: the entry is the file the Full build
+    // wrote, byte for byte.
+    assert_eq!(fs::read(&entry).expect("re-read entry"), published, "a hit must not re-publish");
+    assert_eq!(
+        fs::metadata(&entry).and_then(|m| m.modified()).expect("entry mtime"),
+        stamp,
+        "a hit must leave the entry file untouched"
+    );
     let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn corrupt_or_truncated_entries_fall_back_bit_identically() {
     let (dir, store) = scratch_store("mangle");
-    let workload = toy_workload();
+    let workload = Arc::new(toy_workload());
     let cfgs = configs(Fidelity::Full);
 
-    let (built, _) = SharedEncodedNetwork::from_workload_stored(&cfgs, &workload, SEED, &store);
-    let clean = run_all(&cfgs, &workload, &built);
-    assert!(built.publish_encoded(&store));
+    let (clean, _) = build_and_run(&cfgs, &workload, &store);
     let entry = sole_encoded_entry(&dir);
     let published = fs::read(&entry).expect("read published entry");
 
-    // Flip one payload byte: the checksum trailer must reject the
-    // entry, the probe reports a miss, and the rebuild matches clean.
+    // Flip one payload byte, or truncate to a third: the checksum
+    // trailer must reject the entry, the build reports a miss, the
+    // rebuild matches clean, and `finish` writes back the same bytes
+    // the first publish wrote (encode and memo fill are deterministic).
     let mut flipped = published.clone();
     let mid = flipped.len() / 2;
     flipped[mid] ^= 0x40;
+    let truncated = published[..published.len() / 3].to_vec();
+    for (what, mangled) in [("corrupt", &flipped), ("truncated", &truncated)] {
+        fs::write(&entry, mangled).expect("plant mangled entry");
+        let (rebuilt, out) = build_and_run(&cfgs, &workload, &store);
+        assert_eq!(out, CacheOutcome::Miss, "a {what} entry must fail closed");
+        assert_eq!(rebuilt, clean, "{what}: rebuild must be bit-identical");
+        assert_eq!(
+            fs::read(sole_encoded_entry(&dir)).expect("read repaired entry"),
+            published,
+            "{what}: the repaired entry must be byte-identical to the original"
+        );
+    }
+
+    // The inline build fails closed the same way, and its `finish`
+    // repairs the entry too (memo-cold: it publishes before any sim).
     fs::write(&entry, &flipped).expect("plant corrupted entry");
     let (rebuilt, out) = SharedEncodedNetwork::from_workload_stored(&cfgs, &workload, SEED, &store);
-    assert_eq!(out.encoded, CacheOutcome::Miss, "a corrupt entry must fail closed");
+    assert_eq!(out.encoded, CacheOutcome::Miss, "a corrupt entry must fail closed inline");
     assert_eq!(run_all(&cfgs, &workload, &rebuilt), clean, "rebuild must be bit-identical");
-    // The armed publish replaces the bad entry with the same bytes the
-    // first publish wrote (the encode is deterministic).
-    let _ = run_all(&cfgs, &workload, &rebuilt);
-    assert!(rebuilt.publish_encoded(&store));
-    assert_eq!(
-        fs::read(sole_encoded_entry(&dir)).expect("read republished entry"),
-        published,
-        "republished entry must be byte-identical to the original"
-    );
-
-    // Truncate to a third: same contract.
-    let entry = sole_encoded_entry(&dir);
-    fs::write(&entry, &published[..published.len() / 3]).expect("plant truncated entry");
-    let (rebuilt, out) = SharedEncodedNetwork::from_workload_stored(&cfgs, &workload, SEED, &store);
-    assert_eq!(out.encoded, CacheOutcome::Miss, "a truncated entry must fail closed");
-    assert_eq!(run_all(&cfgs, &workload, &rebuilt), clean, "rebuild must be bit-identical");
+    let (_, out) = SharedEncodedNetwork::from_workload_stored(&cfgs, &workload, SEED, &store);
+    assert_eq!(out.encoded, CacheOutcome::Hit, "the inline repair must load");
     let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn racing_writers_publish_exactly_one_valid_entry() {
     let (dir, store) = scratch_store("race");
-    let workload = toy_workload();
+    let workload = Arc::new(toy_workload());
     let cfgs = configs(Fidelity::Full);
 
     // Every thread misses cold (nobody published yet when the last
@@ -188,12 +213,7 @@ fn racing_writers_publish_exactly_one_valid_entry() {
     // order cannot matter.
     std::thread::scope(|scope| {
         for _ in 0..8 {
-            scope.spawn(|| {
-                let (built, _) =
-                    SharedEncodedNetwork::from_workload_stored(&cfgs, &workload, SEED, &store);
-                let _ = run_shared(&cfgs[0], &workload, &built);
-                built.publish_encoded(&store);
-            });
+            scope.spawn(|| build_and_run(&cfgs[..1], &workload, &store));
         }
     });
 
@@ -206,9 +226,10 @@ fn racing_writers_publish_exactly_one_valid_entry() {
     );
     // …and it is valid: a fresh probe hits and simulates identically to
     // a diskless build.
-    let (warm, out) = SharedEncodedNetwork::from_workload_stored(&cfgs, &workload, SEED, &store);
+    let (warm, out) =
+        SharedEncodedNetwork::from_workload_stored(&cfgs[..1], &workload, SEED, &store);
     assert_eq!(out.encoded, CacheOutcome::Hit, "the surviving entry must load");
-    let fresh = SharedEncodedNetwork::from_workload(&cfgs, &workload);
-    assert_eq!(run_all(&cfgs, &workload, &warm), run_all(&cfgs, &workload, &fresh));
+    let fresh = SharedEncodedNetwork::from_workload(&cfgs[..1], &workload);
+    assert_eq!(run_all(&cfgs[..1], &workload, &warm), run_all(&cfgs[..1], &workload, &fresh));
     let _ = fs::remove_dir_all(&dir);
 }

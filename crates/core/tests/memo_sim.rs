@@ -168,7 +168,7 @@ fn tiny_workload(repr: Representation) -> NetworkWorkload {
 fn assert_shared_equals_per_config(configs: &[PraConfig], w: &NetworkWorkload, what: &str) {
     let shared = SharedEncodedNetwork::from_workload(configs, w);
     for cfg in configs {
-        let via_shared = run_shared(cfg, w, &shared);
+        let via_shared = run_shared(cfg, w, &shared, |_, _| {});
         let per_config = run(cfg, w);
         assert_eq!(
             via_shared.layers,

@@ -333,6 +333,7 @@ impl ClientCtx {
         // dispatch to the others.
         let stream = TcpStream::connect_timeout(&addr, UPSTREAM_CONNECT_TIMEOUT)
             .map_err(|e| format!("connect shard {shard} at {addr}: {e}"))?;
+        no_delay(&stream);
         let write_half = stream.try_clone().map_err(|e| format!("clone shard {shard}: {e}"))?;
         let (tx, rx) = channel::<String>();
         {
@@ -559,6 +560,7 @@ impl Router {
                 break;
             }
             let stream = stream?;
+            no_delay(&stream);
             let mut live_handles = Vec::with_capacity(handles.len());
             for h in handles {
                 if h.is_finished() {
@@ -606,6 +608,15 @@ impl Router {
         let _ = prober.join();
         Ok(())
     }
+}
+
+/// Turns off Nagle's algorithm on a data-path socket (the accepted
+/// client side and each shard upstream): the router relays v2 frames a
+/// line at a time, and a small write held back until the peer's delayed
+/// ACK (~40 ms) would pace every frame after the first. Best effort —
+/// a socket that refuses still works, only slower.
+fn no_delay(stream: &TcpStream) {
+    let _ = stream.set_nodelay(true);
 }
 
 /// The prober thread: one probe round per interval (plus seeded
@@ -744,6 +755,20 @@ fn client_read_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn data_path_sockets_are_nodelay() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let upstream =
+            TcpStream::connect_timeout(&listener.local_addr().unwrap(), UPSTREAM_CONNECT_TIMEOUT)
+                .unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        for stream in [&upstream, &accepted] {
+            assert!(!stream.nodelay().unwrap(), "sockets start with Nagle's algorithm on");
+            no_delay(stream);
+            assert!(stream.nodelay().unwrap(), "relayed frames must not wait for a delayed ACK");
+        }
+    }
 
     #[test]
     fn bind_rejects_an_empty_shard_list() {

@@ -250,9 +250,9 @@ impl Server {
                         let _ = stream.write_all(b"\n");
                         continue; // dropping the stream closes it
                     }
-                    if stream.set_nonblocking(true).is_err() {
-                        // A socket the loop cannot drive without
-                        // blocking is not servable; drop it.
+                    if prepare_socket(&stream).is_err() {
+                        // A socket the loop cannot set up is not
+                        // servable; drop it.
                         continue;
                     }
                     // relaxed-ok: admission gauge (see the load above).
@@ -278,6 +278,16 @@ impl Server {
         }
         Ok(progressed)
     }
+}
+
+/// Readies an accepted socket for the event loop: nonblocking, so the
+/// loop never parks on one connection, and `TCP_NODELAY`, so each v2
+/// frame leaves at once — with Nagle's algorithm on, a small write
+/// waits while an earlier one is unacknowledged, and the client's
+/// delayed ACK (~40 ms) then paces every frame after the first.
+fn prepare_socket(stream: &TcpStream) -> std::io::Result<()> {
+    stream.set_nonblocking(true)?;
+    stream.set_nodelay(true)
 }
 
 /// Drains the connection's response channel into its output queue.
@@ -431,4 +441,22 @@ fn pump_reads(
         c.outq.push_back(resp.to_json_line());
     }
     (progressed, false)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accepted_sockets_are_nonblocking_and_nodelay() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        assert!(!accepted.nodelay().unwrap(), "sockets start with Nagle's algorithm on");
+        prepare_socket(&accepted).unwrap();
+        assert!(accepted.nodelay().unwrap(), "frames must not wait for a delayed ACK");
+        let mut buf = [0u8; 1];
+        let err = (&accepted).read(&mut buf).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::WouldBlock, "the event loop must never block on a read");
+    }
 }

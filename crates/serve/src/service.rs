@@ -35,10 +35,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use pra_core::{
-    run_pipelined, run_shared, run_shared_streaming, ArtifactPool, PoolOutcome, PraConfig,
-    SharedEncodedNetwork,
-};
+use pra_core::{run_shared, ArtifactPool, Artifacts, PraConfig, SharedEncodedNetwork};
 use pra_engines::{dadn, stripes};
 use pra_sim::{ChipConfig, RunResult};
 use pra_workloads::cache::CacheOutcome;
@@ -75,10 +72,15 @@ pub struct ServiceStats {
     /// Requests answered `shed:deadline` after their per-request
     /// deadline expired.
     pub deadline_expired: AtomicU64,
-    /// Milliseconds of blocking artifact work paid by batch workers:
-    /// workload sourcing, shared-artifact build or decode, and entry
-    /// publication. A warm disk store collapses this to decode time —
-    /// the CI `warm-start-smoke` gate pins that collapse.
+    /// Milliseconds of blocking artifact work paid by batch workers, the
+    /// same for v1 and v2 batches: on a pool miss, workload sourcing,
+    /// starting the one pipelined build (key derivation and the
+    /// traffic-table probe) and its `finish` (joining the builder,
+    /// publishing missed entries). The encode or entry decode that
+    /// overlaps simulation on the builder thread is not counted, nor is
+    /// time spent waiting on another worker's build of the same key. A
+    /// warm disk store collapses this to the workload load — the CI
+    /// `warm-start-smoke` gate pins that collapse.
     pub encode_ms: AtomicU64,
     /// Batches whose shared encoded artifacts loaded from the store's
     /// disk tier instead of being rebuilt from the workload.
@@ -525,114 +527,90 @@ fn run_batch(
     // the [`ArtifactPool`] — per *run of batches*: the pool is always
     // keyed on the full standard design-point set, so the first batch
     // of a workload builds artifacts every later batch reuses whatever
-    // engine mix it carries. The tiered [`ArtifactStore`] backs the
-    // first build (workload *and* encoded artifacts, so a warm boot
-    // deserializes instead of re-encoding); baselines-only batches
-    // never pay for an encode — they probe the pool and fall back to
+    // engine mix it carries. Resolution is pool → disk → generate, the
+    // same for v1 and v2: a pool hit runs over the pooled network; a
+    // miss with PRA work claims the key (a concurrent miss on it waits
+    // for this build instead of starting a second one), starts the one
+    // pipelined build (the tiered [`ArtifactStore`] streams a warm
+    // entry off disk instead of re-encoding), runs every PRA engine
+    // against it in flight, and `finish`es and pools it. Baselines-only
+    // batches never pay for or wait on an encode — a miss falls back to
     // the bare workload.
     //
     // [`ArtifactStore`]: pra_workloads::cache::ArtifactStore
     let std_cfgs: Vec<PraConfig> = pra_bench::sweep::pra_configs(key.repr, cfg.fidelity);
     let any_pra = engines.iter().any(|(_, e)| matches!(e, Engine::Pra(_)));
-    // Any v2 member turns on streaming for the batch: the lead engine's
-    // per-layer progress fans out as `layer_result` frames to exactly
-    // the still-in-flight v2 members (the registry's `stream` flag
-    // keeps v1 channels byte-identical to the old wire).
+    let found = if any_pra {
+        pool.claim(&std_cfgs, key.network, key.repr, key.seed).map_err(Some)
+    } else {
+        pool.lookup(&std_cfgs, key.network, key.repr, key.seed).ok_or(None)
+    };
+    // Blocking artifact work (everything that is not simulation) is
+    // accumulated into `encode_ms`; waiting on another worker's claim
+    // and the overlapped portion of a pipelined build are deliberately
+    // excluded — neither is work this batch does.
+    let ms_since = |t: Instant| t.elapsed().as_millis() as u64;
+    let t = Instant::now();
+    let (workload, pooled, claim) = match found {
+        Ok((workload, shared)) => {
+            // relaxed-ok: monotonic stat counter; nothing synchronizes
+            // through it.
+            stats.pool_hits.fetch_add(1, Ordering::Relaxed);
+            (workload, Some(shared), None)
+        }
+        Err(claim) => {
+            (Arc::new(cfg.store.workload(key.network, key.repr, key.seed).0), None, claim)
+        }
+    };
+    let build = claim.map(|claim| {
+        (claim, SharedEncodedNetwork::start_pipelined(&std_cfgs, &workload, key.seed, &cfg.store))
+    });
+    let mut build_ms = ms_since(t);
+
+    // Each distinct PRA engine simulates exactly once, through the one
+    // runner. The first (the lead) streams every finished layer as a
+    // `layer_result` frame to the batch's still-in-flight v2 members;
+    // a batch with no v2 member passes a no-op instead, so the
+    // registry's per-frame deadline extension never touches it and v1
+    // deadlines keep bounding total latency.
     let has_streamers = batch.requests.iter().any(|p| p.req.v == 2);
     let mut frames_sent: BTreeMap<u64, usize> = BTreeMap::new();
-    // The lead engine is the batch's first PRA design point: its run is
-    // the one that overlaps the pipelined artifact build and drives the
-    // frame stream.
-    let lead: Option<(String, PraConfig)> = engines.iter().find_map(|(l, e)| match e {
-        Engine::Pra(c) => Some((l.clone(), *c)),
-        _ => None,
-    });
-    let streaming_lead = if has_streamers { lead } else { None };
-    // Blocking artifact work (everything that is not simulation) is
-    // accumulated into `encode_ms`; the overlapped portion of a
-    // pipelined build is deliberately excluded — it costs no latency.
-    let ms_since = |t: Instant| t.elapsed().as_millis() as u64;
-    let mut build_ms: u64 = 0;
+    let layers = workload.layers.len();
+    let artifacts = match (&pooled, &build) {
+        (Some(shared), _) => Some(Artifacts::Built(shared)),
+        (None, Some((_, build))) => Some(Artifacts::Building(build)),
+        (None, None) => None,
+    };
+    let mut pra_runs: BTreeMap<&str, RunResult> = BTreeMap::new();
+    for (label, engine) in &engines {
+        let (Engine::Pra(pra_cfg), Some(artifacts)) = (engine, artifacts) else {
+            continue;
+        };
+        let r = if has_streamers && pra_runs.is_empty() {
+            run_shared(pra_cfg, &workload, artifacts, |idx, partial| {
+                emit_frames(registry, slot, cfg, &mut frames_sent, idx, layers, partial);
+            })
+        } else {
+            run_shared(pra_cfg, &workload, artifacts, |_, _| {})
+        };
+        pra_runs.insert(label.as_str(), r);
+    }
+
     let mut encoded_hit = false;
-    let (workload, shared, lead_run) = if let Some((lead_label, lead_cfg)) = streaming_lead {
-        // Streaming batches break the strict build-then-simulate
-        // sequence on a pool miss: layer n+1 encodes on the pipeline
-        // thread while layer n simulates here, and every finished layer
-        // becomes a frame immediately.
-        match pool.lookup(&std_cfgs, key.network, key.repr, key.seed) {
-            Some((workload, shared)) => {
-                // relaxed-ok: monotonic stat counter; nothing
-                // synchronizes through it.
-                stats.pool_hits.fetch_add(1, Ordering::Relaxed);
-                let layers = workload.layers.len();
-                let r = run_shared_streaming(&lead_cfg, &workload, &shared, |idx, partial| {
-                    emit_frames(registry, slot, cfg, &mut frames_sent, idx, layers, partial);
-                });
-                (workload, Some(shared), Some((lead_label, r)))
-            }
-            None => {
-                let t = Instant::now();
-                let (workload, _) = cfg.store.workload(key.network, key.repr, key.seed);
-                let workload = Arc::new(workload);
-                let build = SharedEncodedNetwork::start_pipelined(
-                    &std_cfgs, &workload, key.seed, &cfg.store,
-                );
-                build_ms += ms_since(t);
-                let layers = workload.layers.len();
-                let r = run_pipelined(&lead_cfg, &workload, &build, |idx, partial| {
-                    emit_frames(registry, slot, cfg, &mut frames_sent, idx, layers, partial);
-                });
-                // The encoded probe rides the builder thread and
-                // settles with the final layer — which the lead sim
-                // just consumed, so this read is authoritative.
-                encoded_hit = matches!(build.encoded_outcome(), CacheOutcome::Hit);
-                // `finish` also publishes a missed encoded entry — by
-                // now the lead sim warmed its memos in place.
-                let t = Instant::now();
-                let shared = Arc::new(build.finish(&cfg.store));
-                build_ms += ms_since(t);
-                pool.insert(
-                    key.network,
-                    key.repr,
-                    key.seed,
-                    &std_cfgs,
-                    Arc::clone(&workload),
-                    Arc::clone(&shared),
-                );
-                (workload, Some(shared), Some((lead_label, r)))
-            }
+    let shared = match build {
+        Some((claim, build)) => {
+            // The encoded probe settles with the final layer, which the
+            // runs above consumed, so this read is authoritative.
+            encoded_hit = build.encoded_outcome() == CacheOutcome::Hit;
+            // `finish` publishes a missed encoded entry — memo-warm:
+            // the runs above filled the memos in place.
+            let t = Instant::now();
+            let shared = Arc::new(build.finish(&cfg.store));
+            build_ms += ms_since(t);
+            claim.insert(Arc::clone(&workload), Arc::clone(&shared));
+            Some(shared)
         }
-    } else if any_pra {
-        let t = Instant::now();
-        let (workload, shared, outcome) =
-            pool.get_or_build(&std_cfgs, key.network, key.repr, key.seed, &cfg.store);
-        build_ms += ms_since(t);
-        match outcome {
-            PoolOutcome::Pooled => {
-                // relaxed-ok: monotonic stat counter; nothing
-                // synchronizes through it.
-                stats.pool_hits.fetch_add(1, Ordering::Relaxed);
-            }
-            PoolOutcome::Built(out) => {
-                encoded_hit = matches!(out.encoded, CacheOutcome::Hit);
-            }
-        }
-        (workload, Some(shared), None)
-    } else {
-        match pool.lookup(&std_cfgs, key.network, key.repr, key.seed) {
-            Some((workload, shared)) => {
-                // relaxed-ok: monotonic stat counter; nothing
-                // synchronizes through it.
-                stats.pool_hits.fetch_add(1, Ordering::Relaxed);
-                (workload, Some(shared), None)
-            }
-            None => {
-                let t = Instant::now();
-                let (workload, _) = cfg.store.workload(key.network, key.repr, key.seed);
-                build_ms += ms_since(t);
-                (Arc::new(workload), None, None)
-            }
-        }
+        None => pooled,
     };
     // relaxed-ok: monotonic stat counters; nothing synchronizes
     // through them.
@@ -646,15 +624,14 @@ fn run_batch(
     let chip = ChipConfig::dadn();
     let traffic = shared.as_ref().and_then(|s| s.traffic_view(&chip, Default::default(), key.repr));
 
-    // Each distinct engine simulates exactly once; the DaDN baseline is
-    // always needed for the speedup field.
+    // The DaDN baseline is always needed for the speedup field.
     let base = dadn::run_views(&chip, &views, key.repr, traffic);
 
     // Streaming batches with no PRA engine stream off the baseline run
     // instead: a burst of per-layer frames as soon as it completes (the
     // baseline engines have no incremental hook, but the client still
     // gets layer granularity and the same done-frame terminal).
-    if has_streamers && lead_run.is_none() {
+    if has_streamers && !any_pra {
         let mut partial = RunResult::new(base.engine.clone());
         for (idx, layer) in base.layers.iter().enumerate() {
             partial.layers.push(layer.clone());
@@ -670,37 +647,16 @@ fn run_batch(
                 let r = stripes::run_views(&chip, &views, key.repr, traffic);
                 (r.total_cycles(), r.total_terms(), r.speedup_over(&base))
             }
-            // `shared` is always built when any PRA engine resolved; a
-            // None here (impossible by construction) falls through to the
-            // per-request unknown-engine error below instead of panicking
-            // the worker.
-            Engine::Pra(pra_cfg) => match &lead_run {
-                // The streaming lead already simulated while artifacts
-                // were still building; reuse its result.
-                Some((lead_label, r)) if lead_label == label => {
-                    (r.total_cycles(), r.total_terms(), r.speedup_over(&base))
-                }
-                _ => match shared.as_deref() {
-                    Some(s) => {
-                        let r = run_shared(pra_cfg, &workload, s);
-                        (r.total_cycles(), r.total_terms(), r.speedup_over(&base))
-                    }
-                    None => continue,
-                },
+            // Every resolved PRA engine ran above; a missing run
+            // (impossible by construction) falls through to the
+            // per-request unknown-engine error below instead of
+            // panicking the worker.
+            Engine::Pra(_) => match pra_runs.get(label.as_str()) {
+                Some(r) => (r.total_cycles(), r.total_terms(), r.speedup_over(&base)),
+                None => continue,
             },
         };
         results.insert(label.as_str(), (cycles, terms, speedup));
-    }
-
-    // Publish a missed encoded entry now that the batch's sims warmed
-    // the schedule memos (no-op on a streaming build — `finish` already
-    // published — and on pool hits or warm loads, which armed nothing).
-    if let Some(s) = shared.as_deref() {
-        let t = Instant::now();
-        s.publish_encoded(&cfg.store);
-        // relaxed-ok: monotonic stat counter; nothing synchronizes
-        // through it.
-        stats.encode_ms.fetch_add(ms_since(t), Ordering::Relaxed);
     }
 
     let batch_size = batch.requests.len();
@@ -928,6 +884,57 @@ mod tests {
             other => panic!("expected ok, got {other:?}"),
         }
         svc.shutdown();
+    }
+
+    /// The digest of the `ok` terminal on `rx`, unwrapping a v2 `done`
+    /// frame after skipping its `layer_result` frames.
+    fn ok_digest(rx: &Receiver<Response>) -> String {
+        loop {
+            match rx.recv_timeout(Duration::from_secs(120)).expect("response") {
+                Response::LayerResult { .. } => {}
+                Response::Ok { digest, .. } => return digest,
+                Response::Done { inner, .. } => match *inner {
+                    Response::Ok { digest, .. } => return digest,
+                    other => panic!("expected ok terminal, got {other:?}"),
+                },
+                other => panic!("expected ok, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn v1_pool_misses_stream_the_encoded_entry_like_v2() {
+        use pra_workloads::cache::{ArtifactKind, ArtifactStore};
+        let dir = std::env::temp_dir().join(format!("pra-serve-v1-warm-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let boot = || {
+            let store = ArtifactStore::new(&dir)
+                .tier(ArtifactKind::Workload)
+                .tier(ArtifactKind::Traffic)
+                .tier(ArtifactKind::Encoded);
+            SimService::start(ServeConfig { store, ..fast_cfg(1, 1) })
+        };
+        let hits = |svc: &SimService| svc.stats().encoded_hits.load(Ordering::Relaxed);
+        // Cold store: the v1 miss encodes, and `finish` publishes.
+        let svc = boot();
+        let cold = ok_digest(&svc.call(req(1, "PRA-2b")).unwrap());
+        assert_eq!(hits(&svc), 0, "an empty store has nothing to stream");
+        svc.shutdown();
+        // A fresh process on the same store: the v1 pool miss streams
+        // the published entry off disk, exactly as a v2 miss does.
+        let svc = boot();
+        let warm_v1 = ok_digest(&svc.call(req(2, "PRA-2b")).unwrap());
+        assert_eq!(hits(&svc), 1, "a v1 pool miss must load the encoded entry");
+        svc.shutdown();
+        let svc = boot();
+        let mut streaming = req(3, "PRA-2b");
+        streaming.v = 2;
+        let warm_v2 = ok_digest(&svc.call(streaming).unwrap());
+        assert_eq!(hits(&svc), 1, "a v2 pool miss loads the same entry");
+        svc.shutdown();
+        assert_eq!(warm_v1, cold, "warm starts move time, never bytes");
+        assert_eq!(warm_v1, warm_v2, "v1 and v2 answer one digest");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
