@@ -1,7 +1,8 @@
 //! Criterion microbenchmarks for the hot kernels: oneffset encoding, CSD
 //! recoding, the column scheduler, the PIP datapath, the reference
-//! convolution, a full Pragmatic layer simulation, and synthetic
-//! workload generation (serial vs parallel row jobs).
+//! convolution, full Pragmatic (per-pallet and per-column sync) and
+//! Stripes layer simulations, and synthetic workload generation (serial
+//! vs parallel row jobs).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -9,7 +10,9 @@ use std::hint::black_box;
 use pra_core::column::{schedule_brick, schedule_brick_oracle, schedule_values, SchedulerConfig};
 use pra_core::pip::{pip_cycle, LaneControl};
 use pra_core::PraConfig;
+use pra_engines::stripes;
 use pra_fixed::{csd, OneffsetList};
+use pra_sim::ChipConfig;
 use pra_tensor::conv::convolve;
 use pra_tensor::{ConvLayerSpec, Tensor3};
 use pra_workloads::generator::generate_synapses;
@@ -136,6 +139,22 @@ fn bench_layers(c: &mut Criterion) {
             |l| black_box(pra_core::simulate_layer_raw(black_box(&cfg), &l)),
             BatchSize::LargeInput,
         )
+    });
+    // Per-column sync with one SSR (the per-set recurrence) and Stripes
+    // (a fold of max(p, NM rows) over pallet-steps) on the same layer.
+    let per_column = PraConfig::per_column(1, Representation::Fixed16);
+    c.bench_function("pra2b1r_simulate_layer_32x32x64", |b| {
+        b.iter_batched(
+            || layer.clone(),
+            |l| black_box(pra_core::simulate_layer(black_box(&per_column), &l)),
+            BatchSize::LargeInput,
+        )
+    });
+    let chip = ChipConfig::dadn();
+    c.bench_function("stripes_simulate_layer_32x32x64", |b| {
+        b.iter(|| {
+            black_box(stripes::simulate_layer(black_box(&chip), &layer, Representation::Fixed16))
+        })
     });
 }
 

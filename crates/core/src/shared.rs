@@ -879,7 +879,8 @@ impl Drop for PoolClaim<'_> {
 
 /// Compile-time fingerprint of the traffic-counting pipeline's sources
 /// (this module, `shared_traffic` in pra-engines, the dispatcher/NM
-/// model and counters in pra-sim), mixed into every traffic key: a
+/// model and counters in pra-sim, the pallet geometry in pra-tensor),
+/// mixed into every traffic key: a
 /// counting change that forgets the [`TRAFFIC_VERSION`] bump makes old
 /// entries unreachable locally, matching the workload cache's
 /// fail-closed behavior (CI's actions/cache key hashes the same
@@ -887,11 +888,12 @@ impl Drop for PoolClaim<'_> {
 fn traffic_source_fingerprint() -> u64 {
     static FP: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
     *FP.get_or_init(|| {
-        let sources: [&str; 4] = [
+        let sources: [&str; 5] = [
             include_str!("shared.rs"),
             include_str!("../../engines/src/lib.rs"),
             include_str!("../../sim/src/dispatcher.rs"),
             include_str!("../../sim/src/neuron_memory.rs"),
+            include_str!("../../tensor/src/brick.rs"),
         ];
         let mut h = 0u64;
         for s in sources {

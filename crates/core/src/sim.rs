@@ -125,6 +125,12 @@ struct Totals {
 }
 
 impl Totals {
+    fn add_pallet(&mut self, o: PalletOutcome) {
+        self.cycles += o.cycles;
+        self.nm_stalls += o.nm_stall_cycles;
+        self.sb_stalls += o.sb_stall_cycles;
+    }
+
     fn add(self, o: Totals) -> Totals {
         Totals {
             cycles: self.cycles + o.cycles,
@@ -167,9 +173,10 @@ fn select_pallets(cfg: &PraConfig, spec: &ConvLayerSpec) -> (Vec<PalletRef>, u64
 }
 
 /// Simulates a slice of pallets against the shared layer scheduler. The
-/// two step-indexed buffers are sized once per call; the loop body itself
-/// performs no heap allocation — brick schedules come from the memo and
-/// NM fetch rows are counted on the stack.
+/// step-indexed buffers are sized once per call; the loop body itself
+/// performs no heap allocation — brick schedules come from the memo, NM
+/// fetch rows are a closed form, and per-column sync is a per-step
+/// recurrence.
 fn simulate_pallets(
     cfg: &PraConfig,
     spec: &ConvLayerSpec,
@@ -178,12 +185,10 @@ fn simulate_pallets(
     steps: &[BrickStep],
     pallets: &[PalletRef],
 ) -> Totals {
-    let mut col_cycles_buf: Vec<[u32; 16]> = Vec::with_capacity(steps.len());
-    let mut nmc_buf: Vec<u64> = Vec::with_capacity(steps.len());
+    let mut bufs = SyncBuffers::new(steps.len());
     let mut t = Totals::default();
     for pallet in pallets {
-        col_cycles_buf.clear();
-        nmc_buf.clear();
+        bufs.clear();
         for step in steps {
             let mut per_col = [0u32; 16];
             for (col, slot) in per_col.iter_mut().enumerate().take(pallet.lanes) {
@@ -192,27 +197,50 @@ fn simulate_pallets(
                 *slot = cycles;
                 t.oneffsets += u64::from(terms);
             }
-            col_cycles_buf.push(per_col);
-            nmc_buf.push(dispatcher.fetch_cycles(spec, *pallet, *step));
+            bufs.push_step(cfg, per_col, || dispatcher.fetch_cycles(spec, *pallet, *step));
         }
-        let outcome = sync_pallet(cfg, &col_cycles_buf, &nmc_buf, pallet.lanes);
-        t.cycles += outcome.cycles;
-        t.nm_stalls += outcome.nm_stall_cycles;
-        t.sb_stalls += outcome.sb_stall_cycles;
+        t.add_pallet(bufs.sync(cfg, pallet.lanes));
     }
     t
 }
 
-fn sync_pallet(
-    cfg: &PraConfig,
-    col_cycles: &[[u32; 16]],
-    nmc: &[u64],
-    lanes: usize,
-) -> PalletOutcome {
-    match cfg.sync {
-        SyncPolicy::PerPallet => pallet_sync(col_cycles, nmc),
-        SyncPolicy::PerColumn { ssrs } => column_sync(col_cycles, lanes, Some(ssrs)),
-        SyncPolicy::PerColumnIdeal => column_sync(col_cycles, lanes, None),
+/// One pallet's step-indexed sync inputs, reused across pallets.
+struct SyncBuffers {
+    col_cycles: Vec<[u32; 16]>,
+    /// NM fetch cycles per step; only per-pallet sync reads them.
+    nmc: Vec<u64>,
+    /// Per-column sync's scratch (see [`column_sync`]).
+    freed: Vec<(u64, usize)>,
+}
+
+impl SyncBuffers {
+    fn new(steps: usize) -> Self {
+        Self {
+            col_cycles: Vec::with_capacity(steps),
+            nmc: Vec::with_capacity(steps),
+            freed: Vec::with_capacity(steps),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.col_cycles.clear();
+        self.nmc.clear();
+    }
+
+    fn push_step(&mut self, cfg: &PraConfig, per_col: [u32; 16], nmc: impl FnOnce() -> u64) {
+        self.col_cycles.push(per_col);
+        if cfg.sync == SyncPolicy::PerPallet {
+            self.nmc.push(nmc());
+        }
+    }
+
+    fn sync(&mut self, cfg: &PraConfig, lanes: usize) -> PalletOutcome {
+        let cols = &self.col_cycles;
+        match cfg.sync {
+            SyncPolicy::PerPallet => pallet_sync(cols, &self.nmc),
+            SyncPolicy::PerColumn { ssrs } => column_sync(cols, lanes, Some(ssrs), &mut self.freed),
+            SyncPolicy::PerColumnIdeal => column_sync(cols, lanes, None, &mut self.freed),
+        }
     }
 }
 
@@ -265,11 +293,9 @@ pub fn simulate_layer_raw(cfg: &PraConfig, layer: &LayerWorkload) -> LayerResult
     let (selected, total, sampled) = select_pallets(cfg, spec);
 
     let mut t = Totals::default();
-    let mut col_cycles_buf: Vec<[u32; 16]> = Vec::with_capacity(steps.len());
-    let mut nmc_buf: Vec<u64> = Vec::with_capacity(steps.len());
+    let mut bufs = SyncBuffers::new(steps.len());
     for pallet in &selected {
-        col_cycles_buf.clear();
-        nmc_buf.clear();
+        bufs.clear();
         for step in &steps {
             let bricks = fetch_pallet_step(spec, &layer.neurons, *pallet, *step);
             let mut per_col = [0u32; 16];
@@ -278,13 +304,9 @@ pub fn simulate_layer_raw(cfg: &PraConfig, layer: &LayerWorkload) -> LayerResult
                 per_col[col] = sched.cycles;
                 t.oneffsets += u64::from(sched.terms);
             }
-            col_cycles_buf.push(per_col);
-            nmc_buf.push(dispatcher.fetch_cycles(spec, *pallet, *step));
+            bufs.push_step(cfg, per_col, || dispatcher.fetch_cycles(spec, *pallet, *step));
         }
-        let outcome = sync_pallet(cfg, &col_cycles_buf, &nmc_buf, pallet.lanes);
-        t.cycles += outcome.cycles;
-        t.nm_stalls += outcome.nm_stall_cycles;
-        t.sb_stalls += outcome.sb_stall_cycles;
+        t.add_pallet(bufs.sync(cfg, pallet.lanes));
     }
     finish_layer(cfg, spec, shared_traffic(&cfg.chip, spec, &dispatcher), t, total, sampled)
 }

@@ -15,6 +15,11 @@
 //!   down counter in hardware), which guarantees each set is read from SB
 //!   exactly once. Only one SB read can proceed per cycle; columns that
 //!   need a set that is neither buffered nor fetchable this cycle stall.
+//!   Sets load in order and a column wants set `s + 1` only after it
+//!   copied set `s`, so at most one unbuffered set is wanted at a time:
+//!   columns stall only for a free SSR, never for the SB port.
+//!   [`column_sync`] therefore computes the schedule one set at a time,
+//!   in O(steps × columns), instead of stepping cycles.
 //! * **Per-column ideal** — unbounded SSRs, no port conflicts: the
 //!   `perCol-ideal` upper bound.
 //!
@@ -61,8 +66,30 @@ pub fn pallet_sync(col_cycles: &[[u32; 16]], nmc: &[u64]) -> PalletOutcome {
 /// ideal variant when `ssrs` is `None`.
 ///
 /// `col_cycles[step][column]`; `active` is the number of live window
-/// lanes (ragged pallets at row ends have fewer than 16).
-pub fn column_sync(col_cycles: &[[u32; 16]], active: usize, ssrs: Option<usize>) -> PalletOutcome {
+/// lanes (ragged pallets at row ends have fewer than 16). `freed` is
+/// step-indexed scratch, overwritten here, so a caller syncing many
+/// pallets allocates it once.
+///
+/// With `k` SSRs the model is the module doc's cycle by cycle: each
+/// cycle, columns in index order copy their next set from an SSR, or
+/// read it from SB into a free SSR. It is computed one set at a time.
+/// Set `s` fits in an SSR once set `s − k` has been copied by every
+/// active column, in cycle `F` by columns up to index `f` (sets free in
+/// order, each strictly after the last). A column ready in cycle
+/// `ready[c]` can read set `s` from SB at `max(ready[c], F + (c ≤ f))`:
+/// within cycle `F`, columns after `f` see the SSR already free. The
+/// column with the smallest `(attempt, index)` reads it, at cycle `T`;
+/// every other column copies it at `max(ready[c], T + (c < loader))`.
+/// Each set then costs one SB read. Sets load in order, and a column
+/// wants set `s + 1` only after copying set `s`, so at most one unloaded
+/// set is wanted in any cycle: two reads never compete for the SB port,
+/// and no column ever stalls on it.
+pub fn column_sync(
+    col_cycles: &[[u32; 16]],
+    active: usize,
+    ssrs: Option<usize>,
+    freed: &mut Vec<(u64, usize)>,
+) -> PalletOutcome {
     let steps = col_cycles.len();
     let mut out = PalletOutcome { sb_set_reads: steps as u64, ..Default::default() };
     if steps == 0 || active == 0 {
@@ -82,68 +109,47 @@ pub fn column_sync(col_cycles: &[[u32; 16]], active: usize, ssrs: Option<usize>)
     };
     assert!(ssr_count >= 1, "per-column sync needs at least one SSR");
 
-    #[derive(Clone, Copy)]
-    struct Ssr {
-        step: usize,
-        copied: u16,
-    }
-    let all_copied = ((1u32 << active) - 1) as u16;
-    let mut pool: Vec<Option<Ssr>> = vec![None; ssr_count];
-    let mut step_idx = [0usize; 16];
-    let mut remaining = [0u32; 16];
-    let mut cycles = 0u64;
-    let mut stalls = 0u64;
-
-    loop {
-        if (0..active).all(|c| step_idx[c] >= steps) {
-            break;
-        }
-        let mut sb_port_free = true;
-        for c in 0..active {
-            if step_idx[c] >= steps {
-                continue;
-            }
-            if remaining[c] == 0 {
-                let want = step_idx[c];
-                // Copy from an SSR that already holds the set...
-                let have = pool.iter_mut().flatten().find(|e| e.step == want);
-                if let Some(e) = have {
-                    e.copied |= 1 << c;
-                    remaining[c] = col_cycles[want][c].max(1);
-                } else if sb_port_free {
-                    // ...or read it from SB into a free SSR (empty, or one
-                    // whose set every active column has copied).
-                    let slot = pool.iter_mut().find(|s| {
-                        s.is_none() || s.as_ref().is_some_and(|e| e.copied == all_copied)
-                    });
-                    if let Some(slot) = slot {
-                        *slot = Some(Ssr { step: want, copied: 1 << c });
-                        sb_port_free = false;
-                        remaining[c] = col_cycles[want][c].max(1);
-                    } else {
-                        stalls += 1;
-                        continue;
-                    }
-                } else {
-                    stalls += 1;
-                    continue;
-                }
-            }
-            remaining[c] -= 1;
-            if remaining[c] == 0 {
-                step_idx[c] += 1;
+    // `ready[c]`: the cycle column `c` finished its previous set.
+    // `freed[s]`: the cycle set `s` was last copied, and the highest
+    // column index copying it in that cycle.
+    let mut ready = [0u64; 16];
+    freed.clear();
+    for (s, cols) in col_cycles.iter().enumerate() {
+        let gate = s.checked_sub(ssr_count).map(|j| freed[j]);
+        let attempt = |c: usize| match gate {
+            Some((f_cycle, f_col)) => ready[c].max(f_cycle + u64::from(c <= f_col)),
+            None => ready[c],
+        };
+        let (mut loader, mut load_at) = (0, attempt(0));
+        for c in 1..active {
+            let a = attempt(c);
+            if a < load_at {
+                (loader, load_at) = (c, a);
             }
         }
-        cycles += 1;
+        let mut last = (0u64, 0usize);
+        for (c, (r, &cost)) in ready.iter_mut().zip(cols).take(active).enumerate() {
+            let acquire =
+                if c == loader { load_at } else { (*r).max(load_at + u64::from(c < loader)) };
+            out.sb_stall_cycles += acquire - *r;
+            *r = acquire + u64::from(cost.max(1));
+            if acquire >= last.0 {
+                last = (acquire, c);
+            }
+        }
+        freed.push(last);
     }
-    out.cycles = cycles;
-    out.sb_stall_cycles = stalls;
+    out.cycles = ready[..active].iter().copied().max().unwrap_or(0);
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn col_sync(col_cycles: &[[u32; 16]], active: usize, ssrs: Option<usize>) -> PalletOutcome {
+        column_sync(col_cycles, active, ssrs, &mut Vec::new())
+    }
 
     fn steps(rows: &[[u32; 16]]) -> Vec<[u32; 16]> {
         rows.to_vec()
@@ -178,7 +184,7 @@ mod tests {
         for (i, s) in a.iter_mut().enumerate() {
             s[3] = 2 + i as u32; // column 3: 2+3+4+5 = 14
         }
-        let out = column_sync(&a, 16, None);
+        let out = col_sync(&a, 16, None);
         assert_eq!(out.cycles, 14);
     }
 
@@ -186,8 +192,8 @@ mod tests {
     fn column_sync_with_many_ssrs_matches_ideal_plus_port_effects() {
         // Uniform work: columns never diverge, so SSR count is irrelevant.
         let s = [[3u32; 16]; 5];
-        let ideal = column_sync(&s, 16, None).cycles;
-        let real = column_sync(&s, 16, Some(16)).cycles;
+        let ideal = col_sync(&s, 16, None).cycles;
+        let real = col_sync(&s, 16, Some(16)).cycles;
         assert_eq!(real, ideal);
     }
 
@@ -200,12 +206,15 @@ mod tests {
         for row in &mut s {
             row[1] = 9;
         }
-        let one = column_sync(&s, 2, Some(1)).cycles;
-        let ideal = column_sync(&s, 2, None).cycles;
+        let one = col_sync(&s, 2, Some(1));
+        let ideal = col_sync(&s, 2, None).cycles;
         assert_eq!(ideal, 27);
-        // Lockstep at set granularity behaves like pallet sync: 3 steps x 9.
-        assert!(one >= 27, "one-SSR {one}");
-        assert!(one <= 3 * 9 + 3, "one-SSR {one} too slow");
+        // Lockstep at set granularity behaves like pallet sync: 3 steps x
+        // 9 = 27 cycles. Both columns copy set 0 at cycle 0, so column 0
+        // reads set 1 at cycle 1; set 2 must wait until the slow column
+        // copies set 1 at cycle 9, so column 0 stalls from cycle 2 to 10.
+        assert_eq!(one.cycles, 27);
+        assert_eq!(one.sb_stall_cycles, 8);
     }
 
     #[test]
@@ -219,11 +228,11 @@ mod tests {
         }
         let mut prev = u64::MAX;
         for ssrs in [1usize, 2, 4, 8, 16] {
-            let c = column_sync(&s, 16, Some(ssrs)).cycles;
+            let c = col_sync(&s, 16, Some(ssrs)).cycles;
             assert!(c <= prev, "{ssrs} SSRs: {c} > {prev}");
             prev = c;
         }
-        let ideal = column_sync(&s, 16, None).cycles;
+        let ideal = col_sync(&s, 16, None).cycles;
         assert!(ideal <= prev);
     }
 
@@ -237,7 +246,7 @@ mod tests {
         }
         let pallet = pallet_sync(&s, &[0; 6]).cycles;
         for ssrs in [1usize, 4, 16] {
-            let col = column_sync(&s, 16, Some(ssrs)).cycles;
+            let col = col_sync(&s, 16, Some(ssrs)).cycles;
             assert!(col <= pallet, "{ssrs} SSRs: {col} > pallet {pallet}");
         }
     }
@@ -270,13 +279,15 @@ mod tests {
                 r
             },
         ];
-        let out = column_sync(&sched, 2, Some(1));
-        // Column 0's path: 2 + 4 + 4 = 10 cycles of work; column 1's:
-        // 5 + 2 + 2 = 9, but column 1 cannot copy set 2 until... with one
-        // SSR the critical path lands within a couple cycles of the
-        // figure's 10-cycle walk.
-        assert!(out.cycles >= 10, "cycles {}", out.cycles);
-        assert!(out.cycles <= 12, "cycles {}", out.cycles);
+        let out = col_sync(&sched, 2, Some(1));
+        // Cycles counted from 0. Both columns copy set 0 at cycle 0,
+        // which frees the SSR, so column 0 reads set 1 as soon as it
+        // finishes brick 0, at cycle 2, and runs it to cycle 6. Column 1
+        // copies set 1 at cycle 5, freeing the SSR before column 0 reads
+        // set 2 at cycle 6; column 1 copies set 2 at cycle 7 and ends at
+        // 9, column 0 at 10: the figure's 10-cycle walk, without stalls.
+        assert_eq!(out.cycles, 10);
+        assert_eq!(out.sb_stall_cycles, 0);
         // Exactly one SB read per set.
         assert_eq!(out.sb_set_reads, 3);
     }
@@ -287,7 +298,7 @@ mod tests {
         // number of times as in DaDN."
         let s = vec![[2u32; 16]; 7];
         for ssrs in [1usize, 2, 16] {
-            assert_eq!(column_sync(&s, 16, Some(ssrs)).sb_set_reads, 7);
+            assert_eq!(col_sync(&s, 16, Some(ssrs)).sb_set_reads, 7);
         }
         assert_eq!(pallet_sync(&s, &[0; 7]).sb_set_reads, 7);
     }
@@ -297,13 +308,13 @@ mod tests {
         // Only 4 active columns: the SSR frees as soon as those 4 copied
         // it, so uniform single-cycle steps proceed in lockstep.
         let s = vec![[1u32; 16]; 4];
-        let out = column_sync(&s, 4, Some(1));
+        let out = col_sync(&s, 4, Some(1));
         assert_eq!(out.cycles, 4);
     }
 
     #[test]
     fn empty_pallet_is_free() {
-        let out = column_sync(&[], 16, Some(1));
+        let out = col_sync(&[], 16, Some(1));
         assert_eq!(out.cycles, 0);
         assert_eq!(out.sb_set_reads, 0);
     }

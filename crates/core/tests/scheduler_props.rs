@@ -117,8 +117,8 @@ proptest! {
         ssrs in 1usize..5,
         active in 1usize..=16,
     ) {
-        let ideal = column_sync(&steps, active, None);
-        let real = column_sync(&steps, active, Some(ssrs));
+        let ideal = column_sync(&steps, active, None, &mut Vec::new());
+        let real = column_sync(&steps, active, Some(ssrs), &mut Vec::new());
         prop_assert!(real.cycles >= ideal.cycles);
         let lockstep: u64 = steps
             .iter()
@@ -140,7 +140,7 @@ proptest! {
     fn ssr_monotone(steps in prop::collection::vec(prop::array::uniform16(0u32..10), 1..8), active in 1usize..=16) {
         let mut prev = u64::MAX;
         for ssrs in [1usize, 2, 4, 8] {
-            let c = column_sync(&steps, active, Some(ssrs)).cycles;
+            let c = column_sync(&steps, active, Some(ssrs), &mut Vec::new()).cycles;
             prop_assert!(c <= prev);
             prev = c;
         }

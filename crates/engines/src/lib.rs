@@ -28,7 +28,7 @@ pub mod stripes;
 pub mod zero_skip;
 
 use pra_sim::{AccessCounters, ChipConfig, Dispatcher};
-use pra_tensor::brick::{brick_steps, pallets};
+use pra_tensor::brick::{brick_steps, in_bounds_lanes, pallets};
 use pra_tensor::ConvLayerSpec;
 use pra_workloads::Representation;
 
@@ -42,24 +42,15 @@ pub fn shared_traffic(
     dispatcher: &Dispatcher,
 ) -> AccessCounters {
     let fg = cfg.filter_groups(spec.num_filters) as u64;
+    let steps = brick_steps(spec);
     let mut c = AccessCounters::new();
     for pallet in pallets(spec) {
-        for step in brick_steps(spec) {
-            let rows = dispatcher.fetch_cycles(spec, pallet, step);
-            c.nm_row_activations += rows;
-            for lane in 0..pallet.lanes {
-                let b = pra_tensor::brick::brick_for(spec, pallet, lane, step);
-                let inside = b.x >= 0
-                    && b.y >= 0
-                    && (b.x as usize) < spec.input.x
-                    && (b.y as usize) < spec.input.y;
-                if inside {
-                    c.nm_brick_reads += 1;
-                }
-            }
-            c.sb_set_reads += fg;
+        for &step in &steps {
+            c.nm_row_activations += dispatcher.fetch_cycles(spec, pallet, step);
+            c.nm_brick_reads += in_bounds_lanes(spec, pallet, step).len() as u64;
         }
     }
+    c.sb_set_reads = spec.pallets() as u64 * steps.len() as u64 * fg;
     // Output bricks written through NBout, once per window group of 16
     // filters.
     c.nm_brick_writes = (spec.windows() * spec.num_filters.div_ceil(cfg.brick)) as u64;

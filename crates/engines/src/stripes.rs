@@ -9,6 +9,12 @@
 //! by ragged pallets (the last pallet of a row runs with idle window
 //! lanes) and, in principle, by NM fetch latency (§V-A4's `max(NMC, PC)`
 //! rule, which this model applies per brick step).
+//!
+//! Being value-blind, a layer's cost is a fold of `max(p, NMC)` over its
+//! pallet-steps, with no per-lane work: `NMC` is the dispatcher's
+//! closed-form NM row count (O(1) per pallet-step under the default
+//! pallet-major layout, see `pra_sim::NeuronMemory::pallet_fetch_rows`)
+//! and the step list is built once per layer.
 
 use pra_sim::{AccessCounters, ChipConfig, Dispatcher, LayerResult, NeuronMemory, RunResult};
 use pra_tensor::brick::{brick_steps, pallets};
@@ -43,10 +49,11 @@ pub fn simulate_layer_view(
         Dispatcher::new(NeuronMemory::new(Default::default(), cfg.nm_row_neurons(repr.bits())));
     let fg = cfg.filter_groups(spec.num_filters) as u64;
 
+    let steps = brick_steps(spec);
     let mut cycles = 0u64;
     let mut stalls = 0u64;
     for pallet in pallets(spec) {
-        for step in brick_steps(spec) {
+        for &step in &steps {
             let nmc = dispatcher.fetch_cycles(spec, pallet, step);
             let (cost, stall) = Dispatcher::overlapped_cost(p, nmc);
             cycles += cost;

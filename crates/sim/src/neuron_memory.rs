@@ -16,10 +16,17 @@
 //! * [`NmLayout::RowMajor`] — plain `i`-fastest order, the naive layout;
 //!   a pallet's bricks are `I` neurons apart and spread over many rows.
 //!   Kept as the `ablation_nm_layout` study.
+//!
+//! The row count runs once per pallet-step of every engine, so under
+//! `PalletMajor` it is a closed form: when adjacent lanes' bricks are at
+//! most a row apart (`stride · BRICK ≤ row_neurons`, every layer of the
+//! modelled networks at 256 and 512 neurons per row), a pallet touches
+//! every row between its first and last in-bounds lane's. `RowMajor`
+//! and wider strides count rows lane by lane, the closed form's oracle.
 
 use serde::{Deserialize, Serialize};
 
-use pra_tensor::brick::{brick_for, BrickStep, PalletRef};
+use pra_tensor::brick::{brick_for, in_bounds_lanes, BrickStep, PalletRef};
 use pra_tensor::{ConvLayerSpec, BRICK, PALLET};
 
 /// Storage order of a layer's neuron array inside NM.
@@ -87,24 +94,57 @@ impl NeuronMemory {
     /// Number of distinct NM rows touched when fetching one pallet's
     /// bricks for one brick step. Padding bricks (out-of-bounds) need no
     /// fetch; a fully padded step returns 0.
+    ///
+    /// O(1) under [`NmLayout::PalletMajor`] with `stride · BRICK ≤
+    /// row_neurons` (every layer of the modelled networks at both neuron
+    /// widths): there a brick fills BRICK aligned addresses of one row,
+    /// and adjacent lanes' bricks sit `stride · BRICK` addresses apart,
+    /// so consecutive in-bounds lanes land in the same row or the next
+    /// one. The pallet then touches every row from its first in-bounds
+    /// lane's to its last's. Other layouts and wider strides count the
+    /// rows lane by lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pallet has more than [`PALLET`] lanes.
     pub fn pallet_fetch_rows(
         &self,
         spec: &ConvLayerSpec,
         pallet: PalletRef,
         step: BrickStep,
     ) -> usize {
-        // A brick occupies BRICK consecutive addresses in PalletMajor
-        // layout but spans no row boundary there (rows hold whole bricks
-        // and bricks are aligned); in RowMajor it is also contiguous and
-        // brick-aligned because `i0` is a multiple of BRICK. So each brick
-        // touches exactly one row unless it straddles (non-aligned I); we
-        // conservatively count both ends. At most two rows per lane fit on
-        // the stack, keeping this call allocation-free — it runs once per
-        // brick step in the cycle simulator's hot loop.
-        // The 2-rows-per-lane stack buffer relies on the PalletRef
-        // invariant every generator upholds (at most PALLET lanes);
-        // enforce it rather than silently truncating a hand-built pallet.
         assert!(pallet.lanes <= PALLET, "pallet has {} lanes, max {PALLET}", pallet.lanes);
+        if self.layout != NmLayout::PalletMajor
+            || spec.stride * BRICK > self.row_neurons
+            || !step.i0.is_multiple_of(BRICK)
+        {
+            return self.fetch_rows_by_lane(spec, pallet, step);
+        }
+        let lanes = in_bounds_lanes(spec, pallet, step);
+        if lanes.is_empty() {
+            return 0;
+        }
+        let row = |lane| {
+            let b = brick_for(spec, pallet, lane, step);
+            self.row_of(spec, b.x as usize, b.y as usize, b.i)
+        };
+        row(lanes.end - 1) - row(lanes.start) + 1
+    }
+
+    /// [`Self::pallet_fetch_rows`] counted lane by lane: each in-bounds
+    /// brick's first and last row, sorted, distinct. Exact for every
+    /// layout and stride; the closed form is checked against it.
+    fn fetch_rows_by_lane(
+        &self,
+        spec: &ConvLayerSpec,
+        pallet: PalletRef,
+        step: BrickStep,
+    ) -> usize {
+        // A brick is contiguous and brick-aligned in both layouts when
+        // `i0` is a multiple of BRICK, so it touches one row unless it
+        // straddles one (non-aligned I); both ends are counted. At most
+        // two rows per lane fit on the stack, which the caller's
+        // `lanes <= PALLET` assert guarantees.
         let mut rows = [0usize; 2 * PALLET];
         let mut n = 0usize;
         for lane in 0..pallet.lanes {
@@ -145,7 +185,99 @@ impl Default for NeuronMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pra_tensor::brick::{brick_steps, pallets};
     use pra_tensor::ConvLayerSpec;
+    use proptest::prelude::*;
+
+    /// Asserts the closed form equals the lane loop on every pallet-step
+    /// of `s`; returns how many pallet-steps it checked.
+    fn assert_closed_form_exact(nm: &NeuronMemory, s: &ConvLayerSpec) -> usize {
+        let steps = brick_steps(s);
+        let mut checked = 0;
+        for p in pallets(s) {
+            for &step in &steps {
+                let lanes = nm.fetch_rows_by_lane(s, p, step);
+                assert_eq!(nm.pallet_fetch_rows(s, p, step), lanes, "{nm:?} {s:?} {p:?} {step:?}");
+                checked += 1;
+            }
+        }
+        checked
+    }
+
+    proptest! {
+        /// Random small geometries — ragged and all-padding pallet-steps,
+        /// depths off the brick grid, strides 1–4, padding 0–2 — under
+        /// both layouts and at row widths on both sides of the closed
+        /// form's `stride · BRICK ≤ row_neurons` precondition.
+        #[test]
+        fn closed_form_fetch_rows_match_lane_loop(
+            (nx, ny, depth) in (1usize..=40, 1usize..=5, 1usize..=70),
+            (f, stride, pad) in (1usize..=5, 1usize..=4, 0usize..=2),
+            row_neurons in prop_oneof![
+                Just(16usize),
+                Just(32usize),
+                Just(48usize),
+                Just(256usize),
+                Just(512usize),
+            ],
+            row_major in any::<bool>(),
+        ) {
+            let Ok(s) = ConvLayerSpec::new("p", (nx, ny, depth), (f, f), 1, stride, pad) else {
+                return;
+            };
+            let layout = if row_major { NmLayout::RowMajor } else { NmLayout::PalletMajor };
+            assert_closed_form_exact(&NeuronMemory::new(layout, row_neurons), &s);
+        }
+    }
+
+    #[test]
+    fn closed_form_fetch_rows_exact_on_every_network_geometry() {
+        // Every distinct conv geometry the sweep simulates, at the fp16
+        // and quant8 row widths (256 and 512 neurons).
+        let mut seen = std::collections::HashSet::new();
+        let specs: Vec<ConvLayerSpec> = pra_workloads::Network::ALL
+            .iter()
+            .flat_map(|n| n.conv_layers())
+            .filter(|s| {
+                let (i, f) = (s.input, s.filter);
+                seen.insert((i.x, i.y, i.i, f.x, f.y, s.stride, s.padding))
+            })
+            .collect();
+        for row_neurons in [256, 512] {
+            let nm = NeuronMemory::new(NmLayout::PalletMajor, row_neurons);
+            let checked: usize = specs.iter().map(|s| assert_closed_form_exact(&nm, s)).sum();
+            assert!(checked > 100_000, "{checked} pallet-steps");
+        }
+    }
+
+    #[test]
+    fn unaligned_channel_origins_count_lane_by_lane() {
+        // A hand-built step off the brick grid spans two bricks per lane,
+        // outside the closed form's one-row-per-brick premise.
+        let s = spec(20, 40, 1);
+        let nm = NeuronMemory::default();
+        let pallet = PalletRef { wx0: 0, wy: 3, lanes: 16 };
+        for i0 in 0..40 {
+            let step = BrickStep { fx: 1, fy: 1, i0 };
+            assert_eq!(
+                nm.pallet_fetch_rows(&s, pallet, step),
+                nm.fetch_rows_by_lane(&s, pallet, step),
+                "i0 {i0}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "max 16")]
+    fn closed_form_rejects_oversized_pallets() {
+        let s = spec(64, 64, 1);
+        let pallet = PalletRef { wx0: 0, wy: 1, lanes: PALLET + 1 };
+        let _ = NeuronMemory::default().pallet_fetch_rows(
+            &s,
+            pallet,
+            BrickStep { fx: 0, fy: 0, i0: 0 },
+        );
+    }
 
     fn spec(nx: usize, i: usize, stride: usize) -> ConvLayerSpec {
         ConvLayerSpec::new("t", (nx, nx, i), (3, 3), 16, stride, 1).unwrap()

@@ -9,6 +9,8 @@
 //! brick per cycle; Pragmatic broadcasts one pallet's worth of oneffsets per
 //! cycle (one brick per window lane).
 
+use std::ops::Range;
+
 use crate::shape::ConvLayerSpec;
 use crate::tensor3::Tensor3;
 use crate::{BRICK, PALLET};
@@ -95,6 +97,24 @@ pub fn brick_for(
     BrickRef { x: ox + step.fx as isize, y: oy + step.fy as isize, i: step.i0 }
 }
 
+/// The window lanes of `pallet` whose brick at `step` lies inside the
+/// input; the others read padding. All lanes share the brick's `y` and
+/// lane `l` sits at `x0 + l·S`, so the in-bounds lanes are one
+/// contiguous range: empty when `y` is out of range, otherwise from
+/// `ceil(-x0 / S)` up to the last lane with `x ≤ Nx − 1`.
+pub fn in_bounds_lanes(spec: &ConvLayerSpec, pallet: PalletRef, step: BrickStep) -> Range<usize> {
+    let b = brick_for(spec, pallet, 0, step);
+    let (nx, ny) = (spec.input.x as isize, spec.input.y as isize);
+    if b.y < 0 || b.y >= ny || b.x >= nx {
+        return 0..0;
+    }
+    let s = spec.stride as isize;
+    let lo = if b.x < 0 { (-b.x + s - 1) / s } else { 0 };
+    let hi = (nx - 1 - b.x) / s + 1;
+    let (lo, hi) = ((lo as usize).min(pallet.lanes), (hi as usize).min(pallet.lanes));
+    lo..hi.max(lo)
+}
+
 /// Fetches the neuron values of one pallet at one brick step: `lanes`
 /// bricks of 16 neurons each. Lanes beyond `pallet.lanes` are zero-filled
 /// (an idle window lane forces null terms, §V-A4).
@@ -179,5 +199,24 @@ mod tests {
         let got = fetch_pallet_step(&s, &n, ps[0], BrickStep { fx: 0, fy: 1, i0: 0 });
         assert!(got[0].iter().all(|&v| v == 0));
         assert!(got[1].iter().all(|&v| v == 7)); // lane 1 reads x = 0
+    }
+
+    #[test]
+    fn in_bounds_lanes_match_per_lane_bounds_checks() {
+        for (nx, stride, pad) in [(20, 1, 1), (9, 2, 2), (5, 3, 0), (3, 4, 2), (40, 4, 1)] {
+            let s = ConvLayerSpec::new("t", (nx, 3, 16), (3, 3), 4, stride, pad).unwrap();
+            for p in pallets(&s) {
+                for step in brick_steps(&s) {
+                    let inside: Vec<usize> = (0..p.lanes)
+                        .filter(|&l| {
+                            let b = brick_for(&s, p, l, step);
+                            (0..nx as isize).contains(&b.x) && (0..3).contains(&b.y)
+                        })
+                        .collect();
+                    let range: Vec<usize> = in_bounds_lanes(&s, p, step).collect();
+                    assert_eq!(range, inside, "{nx}/{stride}/{pad} {p:?} {step:?}");
+                }
+            }
+        }
     }
 }
