@@ -70,20 +70,18 @@ pub fn pallet_sync(col_cycles: &[[u32; 16]], nmc: &[u64]) -> PalletOutcome {
 /// step-indexed scratch, overwritten here, so a caller syncing many
 /// pallets allocates it once.
 ///
-/// With `k` SSRs the model is the module doc's cycle by cycle: each
-/// cycle, columns in index order copy their next set from an SSR, or
-/// read it from SB into a free SSR. It is computed one set at a time.
-/// Set `s` fits in an SSR once set `s − k` has been copied by every
-/// active column, in cycle `F` by columns up to index `f` (sets free in
-/// order, each strictly after the last). A column ready in cycle
-/// `ready[c]` can read set `s` from SB at `max(ready[c], F + (c ≤ f))`:
-/// within cycle `F`, columns after `f` see the SSR already free. The
-/// column with the smallest `(attempt, index)` reads it, at cycle `T`;
-/// every other column copies it at `max(ready[c], T + (c < loader))`.
-/// Each set then costs one SB read. Sets load in order, and a column
-/// wants set `s + 1` only after copying set `s`, so at most one unloaded
-/// set is wanted in any cycle: two reads never compete for the SB port,
-/// and no column ever stalls on it.
+/// With `k` SSRs this is the module doc's cycle-by-cycle model (each
+/// cycle, columns in index order copy their next set from an SSR or
+/// read it from SB into a free one), computed one set at a time. Set
+/// `s` fits in an SSR once every active column has copied set `s − k`:
+/// the last copies happen in cycle `F`, the highest-indexed copier then
+/// being column `f` (sets free in order, each strictly after the last).
+/// A column ready at `ready[c]` can read set `s` from SB at
+/// `max(ready[c], F + (c ≤ f))` — within cycle `F`, columns after `f`
+/// already see the SSR free. The column with the smallest `(attempt,
+/// index)` reads it, at cycle `T`, and every column copies it at
+/// `max(ready[c], T + (c < loader))`. No SB-port model is needed: at
+/// most one unbuffered set is ever wanted (see the module doc).
 pub fn column_sync(
     col_cycles: &[[u32; 16]],
     active: usize,
@@ -129,8 +127,7 @@ pub fn column_sync(
         }
         let mut last = (0u64, 0usize);
         for (c, (r, &cost)) in ready.iter_mut().zip(cols).take(active).enumerate() {
-            let acquire =
-                if c == loader { load_at } else { (*r).max(load_at + u64::from(c < loader)) };
+            let acquire = (*r).max(load_at + u64::from(c < loader));
             out.sb_stall_cycles += acquire - *r;
             *r = acquire + u64::from(cost.max(1));
             if acquire >= last.0 {

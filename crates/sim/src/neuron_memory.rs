@@ -101,8 +101,8 @@ impl NeuronMemory {
     /// and adjacent lanes' bricks sit `stride · BRICK` addresses apart,
     /// so consecutive in-bounds lanes land in the same row or the next
     /// one. The pallet then touches every row from its first in-bounds
-    /// lane's to its last's. Other layouts and wider strides count the
-    /// rows lane by lane.
+    /// lane's to its last's. Other layouts, wider strides and channel
+    /// origins off the brick grid count the rows lane by lane.
     ///
     /// # Panics
     ///
