@@ -5,22 +5,21 @@
 //! quantifies what the encoding would buy on the calibrated workloads —
 //! the natural extension the paper's conclusion hints at.
 
-use pra_bench::{build_workloads, fidelity, pct, per_network, times, Table};
+use pra_bench::{build_workloads, fidelity, pct, per_network, run_engines, times, Table};
 use pra_core::{Encoding, PraConfig};
-use pra_engines::{dadn, potential};
-use pra_sim::{geomean, ChipConfig};
+use pra_engines::potential;
+use pra_sim::geomean;
 use pra_workloads::Representation;
 
 fn main() {
-    let chip = ChipConfig::dadn();
     let workloads = build_workloads(Representation::Fixed16);
 
+    let one = PraConfig::two_stage(2, Representation::Fixed16).with_fidelity(fidelity());
+    let csd = PraConfig { encoding: Encoding::Csd, ..one };
     let rows = per_network(&workloads, |w| {
-        let base = dadn::run(&chip, w);
-        let one = PraConfig::two_stage(2, Representation::Fixed16).with_fidelity(fidelity());
-        let csd = PraConfig { encoding: Encoding::Csd, ..one };
-        let s_one = pra_core::run(&one, w).speedup_over(&base);
-        let s_csd = pra_core::run(&csd, w).speedup_over(&base);
+        let runs = run_engines(&[one, csd], w);
+        let s_one = runs.pra[0].speedup_over(&runs.dadn);
+        let s_csd = runs.pra[1].speedup_over(&runs.dadn);
         let t = potential::network_terms(w);
         let n = t.normalized();
         (s_one, s_csd, n.pra_red, n.pra_csd)

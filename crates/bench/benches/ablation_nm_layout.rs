@@ -5,26 +5,22 @@
 //! dispatcher stall cycles PRA-2b would suffer with a naive row-major
 //! layout instead.
 
-use pra_bench::{build_workloads, fidelity, per_network, times, Table};
+use pra_bench::{build_workloads, fidelity, per_network, run_engines, times, Table};
 use pra_core::PraConfig;
-use pra_engines::dadn;
-use pra_sim::{geomean, ChipConfig, NmLayout};
+use pra_sim::{geomean, NmLayout};
 use pra_workloads::Representation;
 
 fn main() {
-    let chip = ChipConfig::dadn();
     let workloads = build_workloads(Representation::Fixed16);
 
+    let pallet_major = PraConfig::two_stage(2, Representation::Fixed16).with_fidelity(fidelity());
+    let row_major = PraConfig { nm_layout: NmLayout::RowMajor, ..pallet_major };
     let rows = per_network(&workloads, |w| {
-        let base = dadn::run(&chip, w);
-        let pallet_major =
-            PraConfig::two_stage(2, Representation::Fixed16).with_fidelity(fidelity());
-        let row_major = PraConfig { nm_layout: NmLayout::RowMajor, ..pallet_major };
-        let r_pm = pra_core::run(&pallet_major, w);
-        let r_rm = pra_core::run(&row_major, w);
+        let runs = run_engines(&[pallet_major, row_major], w);
+        let (r_pm, r_rm) = (&runs.pra[0], &runs.pra[1]);
         (
-            r_pm.speedup_over(&base),
-            r_rm.speedup_over(&base),
+            r_pm.speedup_over(&runs.dadn),
+            r_rm.speedup_over(&runs.dadn),
             r_pm.total_counters().stall_cycles,
             r_rm.total_counters().stall_cycles,
         )

@@ -4,23 +4,21 @@
 //! designs in the Stripes/Pragmatic line took it); the question is whether
 //! the extra datapath pays for itself in performance per area.
 
-use pra_bench::{build_workloads, fidelity, per_network, times, Table};
+use pra_bench::{build_workloads, fidelity, per_network, run_engines, times, Table};
 use pra_core::PraConfig;
 use pra_energy::chip::{chip_area_mm2, chip_power_w};
 use pra_energy::unit::Design;
-use pra_engines::dadn;
-use pra_sim::{geomean, ChipConfig};
+use pra_sim::geomean;
 use pra_workloads::Representation;
 
 fn main() {
-    let chip = ChipConfig::dadn();
     let workloads = build_workloads(Representation::Fixed16);
 
+    let x1 = PraConfig::two_stage(2, Representation::Fixed16).with_fidelity(fidelity());
+    let x2 = PraConfig { oneffsets_per_cycle: 2, ..x1 };
     let rows = per_network(&workloads, |w| {
-        let base = dadn::run(&chip, w);
-        let x1 = PraConfig::two_stage(2, Representation::Fixed16).with_fidelity(fidelity());
-        let x2 = PraConfig { oneffsets_per_cycle: 2, ..x1 };
-        (pra_core::run(&x1, w).speedup_over(&base), pra_core::run(&x2, w).speedup_over(&base))
+        let runs = run_engines(&[x1, x2], w);
+        (runs.pra[0].speedup_over(&runs.dadn), runs.pra[1].speedup_over(&runs.dadn))
     });
 
     let mut table = Table::new(["network", "PRA-2b (x1)", "PRA-2b-x2"]);

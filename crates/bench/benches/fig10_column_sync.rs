@@ -3,14 +3,12 @@
 //! (1, 4, 16) plus the ideal unbounded case. Paper: one SSR already
 //! boosts PRA-2b from 2.59x to 3.1x on average, close to the 3.45x ideal.
 
-use pra_bench::{build_workloads, fidelity, per_network, times, vs, Table};
+use pra_bench::{build_workloads, fidelity, per_network, run_engines, times, vs, Table};
 use pra_core::{PraConfig, SyncPolicy};
-use pra_engines::{dadn, stripes};
-use pra_sim::{geomean, ChipConfig};
+use pra_sim::geomean;
 use pra_workloads::{profiles, Representation};
 
 fn main() {
-    let chip = ChipConfig::dadn();
     let workloads = build_workloads(Representation::Fixed16);
 
     let configs: Vec<PraConfig> = [
@@ -26,14 +24,7 @@ fn main() {
     })
     .collect();
 
-    let rows = per_network(&workloads, |w| {
-        let base = dadn::run(&chip, w);
-        let mut speedups = vec![stripes::run(&chip, w).speedup_over(&base)];
-        for cfg in &configs {
-            speedups.push(pra_core::run(cfg, w).speedup_over(&base));
-        }
-        speedups
-    });
+    let rows = per_network(&workloads, |w| run_engines(&configs, w).speedups());
 
     let mut table =
         Table::new(["network", "Stripes", "1-reg", "4-regs", "16-regs", "perCol-ideal"]);

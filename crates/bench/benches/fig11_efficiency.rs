@@ -2,16 +2,14 @@
 //! PRA-2b and PRA-2b-1R. Paper geo means: STR 1.16, PRA-4b 0.95 (the
 //! single-stage datapath burns its speedup), PRA-2b 1.28, PRA-2b-1R 1.48.
 
-use pra_bench::{build_workloads, fidelity, per_network, times, vs, Table};
+use pra_bench::{build_workloads, fidelity, per_network, run_engines, times, vs, Table};
 use pra_core::PraConfig;
 use pra_energy::efficiency::{efficiency, EnergyReport};
 use pra_energy::unit::Design;
-use pra_engines::{dadn, stripes};
-use pra_sim::{geomean, ChipConfig};
+use pra_sim::geomean;
 use pra_workloads::Representation;
 
 fn main() {
-    let chip = ChipConfig::dadn();
     let workloads = build_workloads(Representation::Fixed16);
 
     let configs = [
@@ -29,13 +27,15 @@ fn main() {
         ),
     ];
 
+    let pra_configs: Vec<PraConfig> =
+        configs.iter().map(|(cfg, _)| cfg.with_fidelity(fidelity())).collect();
     let rows = per_network(&workloads, |w| {
-        let base = EnergyReport::new(Design::Dadn, dadn::run(&chip, w).total_cycles());
-        let str_rep = EnergyReport::new(Design::Stripes, stripes::run(&chip, w).total_cycles());
+        let runs = run_engines(&pra_configs, w);
+        let base = EnergyReport::new(Design::Dadn, runs.dadn.total_cycles());
+        let str_rep = EnergyReport::new(Design::Stripes, runs.stripes.total_cycles());
         let mut effs = vec![efficiency(&base, &str_rep)];
-        for (cfg, design) in &configs {
-            let cycles = pra_core::run(&cfg.with_fidelity(fidelity()), w).total_cycles();
-            effs.push(efficiency(&base, &EnergyReport::new(*design, cycles)));
+        for ((_, design), r) in configs.iter().zip(&runs.pra) {
+            effs.push(efficiency(&base, &EnergyReport::new(*design, r.total_cycles())));
         }
         effs
     });

@@ -3,14 +3,12 @@
 //! PRA-2b with one SSR, and the per-column ideal. Paper: PRA's benefits
 //! persist under quantization, nearly 3.5x for PRA-2b-1R.
 
-use pra_bench::{build_workloads, fidelity, per_network, times, vs, Table};
+use pra_bench::{build_workloads, fidelity, per_network, run_engines, times, vs, Table};
 use pra_core::{PraConfig, SyncPolicy};
-use pra_engines::{dadn, stripes};
-use pra_sim::{geomean, ChipConfig};
+use pra_sim::geomean;
 use pra_workloads::Representation;
 
 fn main() {
-    let chip = ChipConfig::dadn();
     let workloads = build_workloads(Representation::Quant8);
 
     // L = 3 covers all eight shift positions of an 8-bit neuron: the
@@ -28,14 +26,7 @@ fn main() {
     })
     .collect();
 
-    let rows = per_network(&workloads, |w| {
-        let base = dadn::run(&chip, w);
-        let mut speedups = vec![stripes::run(&chip, w).speedup_over(&base)];
-        for cfg in &configs {
-            speedups.push(pra_core::run(cfg, w).speedup_over(&base));
-        }
-        speedups
-    });
+    let rows = per_network(&workloads, |w| run_engines(&configs, w).speedups());
 
     let mut table = Table::new([
         "network",

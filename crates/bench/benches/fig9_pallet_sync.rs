@@ -4,25 +4,18 @@
 //! (4-bit) 2.59x, with the 2-/3-bit variants within 0.2% of single-stage
 //! and 0-bit still 20% ahead of Stripes.
 
-use pra_bench::{build_workloads, fidelity, per_network, times, vs, Table};
+use pra_bench::{build_workloads, fidelity, per_network, run_engines, times, vs, Table};
 use pra_core::PraConfig;
-use pra_engines::{dadn, stripes};
-use pra_sim::{geomean, ChipConfig};
+use pra_sim::geomean;
 use pra_workloads::{profiles, Representation};
 
 fn main() {
-    let chip = ChipConfig::dadn();
     let workloads = build_workloads(Representation::Fixed16);
 
-    let rows = per_network(&workloads, |w| {
-        let base = dadn::run(&chip, w);
-        let mut speedups = vec![stripes::run(&chip, w).speedup_over(&base)];
-        for l in 0..=4u8 {
-            let cfg = PraConfig::two_stage(l, Representation::Fixed16).with_fidelity(fidelity());
-            speedups.push(pra_core::run(&cfg, w).speedup_over(&base));
-        }
-        speedups
-    });
+    let configs: Vec<PraConfig> = (0..=4u8)
+        .map(|l| PraConfig::two_stage(l, Representation::Fixed16).with_fidelity(fidelity()))
+        .collect();
+    let rows = per_network(&workloads, |w| run_engines(&configs, w).speedups());
 
     let mut table = Table::new(["network", "Stripes", "0-bit", "1-bit", "2-bit", "3-bit", "4-bit"]);
     let mut cols: Vec<Vec<f64>> = vec![vec![]; 6];

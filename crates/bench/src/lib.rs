@@ -4,8 +4,8 @@
 //! bench target (`cargo bench -p pra-bench --bench <id>`) that regenerates
 //! it and prints paper-vs-measured rows; see DESIGN.md §4 for the index.
 //! This library provides the shared machinery: deterministic seeds,
-//! simulation fidelity, parallel workload construction, and aligned table
-//! rendering.
+//! simulation fidelity, parallel workload construction, one workload's
+//! engine runs, and aligned table rendering.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -15,7 +15,9 @@ pub mod sweep;
 
 use std::fmt::Write as _;
 
-use pra_core::Fidelity;
+use pra_core::{run_shared, Fidelity, PraConfig, SharedEncodedNetwork};
+use pra_engines::{dadn, stripes};
+use pra_sim::{ChipConfig, RunResult};
 use pra_workloads::{Network, NetworkWorkload, Representation};
 use rayon::prelude::*;
 
@@ -49,6 +51,52 @@ pub fn per_network<R: Send>(
     f: impl Fn(&NetworkWorkload) -> R + Sync,
 ) -> Vec<R> {
     workloads.par_iter().map(&f).collect()
+}
+
+/// One workload's runs on the baselines and on a set of Pragmatic design
+/// points.
+#[derive(Debug)]
+pub struct EngineRuns {
+    /// The bit-parallel baseline every speedup is taken over.
+    pub dadn: RunResult,
+    /// Stripes.
+    pub stripes: RunResult,
+    /// One run per Pragmatic design point, in `configs` order.
+    pub pra: Vec<RunResult>,
+}
+
+impl EngineRuns {
+    /// Speedups over DaDN: Stripes first, then each design point in
+    /// order.
+    pub fn speedups(&self) -> Vec<f64> {
+        std::iter::once(&self.stripes)
+            .chain(&self.pra)
+            .map(|r| r.speedup_over(&self.dadn))
+            .collect()
+    }
+}
+
+/// Runs `workload` on DaDN, Stripes and every design point of
+/// `configs` the way a [`sweep`] job does: one [`SharedEncodedNetwork`]
+/// for the whole set, [`run_shared`] per design point, and the baselines
+/// over the workload's views with the shared traffic counters.
+///
+/// # Panics
+///
+/// Panics if `configs` is empty or a design point's representation
+/// differs from the workload's.
+pub fn run_engines(configs: &[PraConfig], workload: &NetworkWorkload) -> EngineRuns {
+    let chip = ChipConfig::dadn();
+    let repr = workload.repr;
+    let shared = SharedEncodedNetwork::from_workload(configs, workload);
+    let pra = configs.iter().map(|cfg| run_shared(cfg, workload, &shared, |_, _| {})).collect();
+    let views = workload.views();
+    let traffic = shared.traffic_view(&chip, Default::default(), repr);
+    EngineRuns {
+        dadn: dadn::run_views(&chip, &views, repr, traffic),
+        stripes: stripes::run_views(&chip, &views, repr, traffic),
+        pra,
+    }
 }
 
 /// An aligned text table for paper-vs-measured reporting.

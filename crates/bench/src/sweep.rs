@@ -36,7 +36,7 @@ use pra_core::{Fidelity, PraConfig, SharedEncodedNetwork};
 use pra_engines::{dadn, stripes};
 use pra_sim::{geomean, ChipConfig};
 use pra_workloads::cache::ArtifactStore;
-use pra_workloads::{LayerView, Network, Representation};
+use pra_workloads::{Network, Representation};
 
 use crate::report;
 
@@ -259,7 +259,7 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepOutcome {
         // dispatchers use the default NM layout; the checked view hands
         // back counters only if that matches.
         let base_start = Instant::now();
-        let views: Vec<LayerView<'_>> = workload.layers.iter().map(|l| l.view()).collect();
+        let views = workload.views();
         let traffic = shared.traffic_view(&chip, Default::default(), repr);
         let base = dadn::run_views(&chip, &views, repr, traffic);
         let mut rows = Vec::with_capacity(2 + configs.len());

@@ -18,10 +18,8 @@
 //!   behind DaDianNao;
 //! * larger `L` never increases the cycle count.
 
-use serde::{Deserialize, Serialize};
-
 /// Outcome of scheduling one column for one brick step.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ColumnSchedule {
     /// Cycles until every lane drained its oneffset list.
     pub cycles: u32,
@@ -33,9 +31,7 @@ pub struct ColumnSchedule {
 }
 
 /// Order in which a lane's oneffsets are consumed.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ScanOrder {
     /// Least-significant first: the cycle's *minimum* pending oneffset
     /// drives the second-stage shifter — the order of the Fig. 7 worked
@@ -50,7 +46,7 @@ pub enum ScanOrder {
 }
 
 /// Scheduler parameters beyond the brick itself.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SchedulerConfig {
     /// First-stage shifter control bits `L` (§V-D).
     pub l_bits: u8,

@@ -1,14 +1,12 @@
 //! Pragmatic configuration: the design space explored in §VI.
 
-use serde::{Deserialize, Serialize};
-
 use pra_sim::{ChipConfig, NmLayout};
 use pra_workloads::Representation;
 
 use crate::column::{ScanOrder, SchedulerConfig};
 
 /// Neuron-lane synchronization policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SyncPolicy {
     /// Pallet-level synchronization (§V-A4): all 256 lanes of a tile wait
     /// for the neuron with the most essential bits before the next brick
@@ -37,7 +35,7 @@ impl std::fmt::Display for SyncPolicy {
 }
 
 /// Neuron term encoding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Encoding {
     /// Plain oneffsets — one term per essential bit (the paper's design).
     Oneffset,
@@ -47,7 +45,7 @@ pub enum Encoding {
 }
 
 /// Simulation fidelity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Fidelity {
     /// Simulate every pallet of every layer.
     Full,
@@ -64,7 +62,7 @@ pub enum Fidelity {
 /// The configuration slice that determines a layer's encoded mask buffer
 /// (together with the layer's precision window): design points that agree
 /// here see byte-identical [`crate::EncodedLayer`]s and can share one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EncodingKey {
     /// Whether §V-F software trimming is applied before encoding.
     pub software_trim: bool,
@@ -73,7 +71,7 @@ pub struct EncodingKey {
 }
 
 /// A complete Pragmatic design point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PraConfig {
     /// Shared chip structure (tiles, lanes, NM/SB geometry).
     pub chip: ChipConfig,

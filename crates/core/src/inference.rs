@@ -20,6 +20,8 @@ use pra_workloads::LayerView;
 
 use crate::config::PraConfig;
 use crate::functional::compute_layer;
+use crate::schedule::LayerScheduler;
+use crate::sim::simulate_layer_shared;
 
 /// One operation of a network model.
 #[derive(Debug, Clone)]
@@ -127,7 +129,8 @@ impl NetworkModel {
                         stripes_precision: window.width(),
                         neurons: &acts,
                     };
-                    conv_results.push(crate::sim::simulate_layer_view(cfg, view));
+                    let sched = LayerScheduler::new(cfg, view.window, view.neurons);
+                    conv_results.push(simulate_layer_shared(cfg, view, &sched, None));
                     let raw = compute_layer(cfg, spec, &acts, synapses, *window);
                     acts = relu_requantize(&raw, *requant_shift);
                 }

@@ -30,7 +30,11 @@
 //!   [`SchedulerConfig`], one traffic count per layer (the sweep's
 //!   cross-config reuse).
 //! * [`sim`] — layer- and network-level simulation producing
-//!   [`pra_sim::RunResult`]s comparable with the baseline engines.
+//!   [`pra_sim::RunResult`]s comparable with the baseline engines:
+//!   [`run_shared`] runs a network against one [`SharedEncodedNetwork`]
+//!   per workload, [`simulate_layer_shared`] one layer against a
+//!   scheduler, [`simulate_layer`] one layer unshared, and
+//!   [`simulate_layer_raw`] is the pre-memoization oracle.
 //! * [`functional`] — bit-exact computation of layer outputs through the
 //!   oneffset datapath, verified against the reference convolution.
 //!
@@ -63,6 +67,4 @@ pub use shared::{
     ArtifactPool, Artifacts, PipelinedBuild, PoolClaim, SharedEncodedNetwork, StoreOutcomes,
     TRAFFIC_KIND, TRAFFIC_VERSION,
 };
-pub use sim::{
-    run, run_shared, simulate_layer, simulate_layer_raw, simulate_layer_shared, simulate_layer_view,
-};
+pub use sim::{run_shared, simulate_layer, simulate_layer_raw, simulate_layer_shared};

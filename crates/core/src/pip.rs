@@ -15,10 +15,8 @@
 //! The first-stage shifts `K′ᵢ` are bounded by `2^L`; the common term `C`
 //! is the cycle's minimum oneffset chosen by the column control.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-lane control for one PIP cycle.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LaneControl {
     /// First-stage shift `K′ = oneffset − C`; must be below `2^L` for the
     /// configured first-stage width.

@@ -480,10 +480,9 @@ impl PipelinedBuild {
         let (traffic_miss, preloaded, traffic_outcome) = match traffic_cache {
             None => (None, None, CacheOutcome::Disabled),
             Some(cache) => {
-                let views: Vec<LayerView<'_>> = workload.layers.iter().map(|l| l.view()).collect();
                 let key = traffic_key(
                     workload.network.name(),
-                    &views,
+                    &workload.views(),
                     &lead.chip,
                     lead.nm_layout,
                     lead.repr,
@@ -1425,9 +1424,10 @@ mod tests {
         let net = pra_workloads::Network::AlexNet;
         let (w, s, _) = resolve(&pool, &configs, net, 0xC, &store);
         let pooled = crate::run_shared(&configs[0], &w, &*s, |_, _| {});
-        let direct =
-            crate::run(&configs[0], &NetworkWorkload::build(net, Representation::Fixed16, 0xC));
-        assert_eq!(pooled, direct, "pool reuse must be invisible in the results");
+        let direct = NetworkWorkload::build(net, Representation::Fixed16, 0xC);
+        let unshared: Vec<_> =
+            direct.layers.iter().map(|l| crate::simulate_layer(&configs[0], l)).collect();
+        assert_eq!(pooled.layers, unshared, "pool reuse must be invisible in the results");
     }
 
     #[test]

@@ -11,10 +11,16 @@
 //! is scheduled once and memoized (overlapping convolution windows reuse
 //! the entry instead of re-scheduling — a K×K-fold saving), and pallets
 //! fan out across the thread pool with an order-preserving reduction, so
-//! a single-layer request scales across cores. The pre-memoization
-//! implementation is retained as [`simulate_layer_raw`], the
-//! cycle-for-cycle oracle that tests and the `micro` bench compare
-//! against.
+//! a single-layer request scales across cores.
+//!
+//! Entry points: [`run_shared`] is the one network runner — every
+//! design point of a workload simulates against one
+//! [`crate::SharedEncodedNetwork`] (or a build still in flight).
+//! [`simulate_layer_shared`] simulates one layer against a scheduler;
+//! [`simulate_layer`] is its one-layer convenience over a fresh, unshared
+//! scheduler. The pre-memoization implementation is retained as
+//! [`simulate_layer_raw`], the cycle-for-cycle oracle that tests and the
+//! `micro` bench compare against.
 
 use pra_engines::shared_traffic;
 use pra_sim::{AccessCounters, Dispatcher, LayerResult, NeuronMemory, RunResult};
@@ -29,53 +35,26 @@ use crate::schedule::LayerScheduler;
 use crate::shared::Artifacts;
 use crate::tile::{column_sync, pallet_sync, PalletOutcome};
 
-/// Simulates one layer on the configured Pragmatic design point.
+/// Simulates one layer on the configured Pragmatic design point: the
+/// one-layer convenience over [`simulate_layer_shared`] with a fresh,
+/// unshared [`LayerScheduler`].
 pub fn simulate_layer(cfg: &PraConfig, layer: &LayerWorkload) -> LayerResult {
-    simulate_layer_view(cfg, layer.view())
+    let sched = LayerScheduler::new(cfg, layer.window, &layer.neurons);
+    simulate_layer_shared(cfg, layer.view(), &sched, None)
 }
 
-/// Simulates one borrowed layer (no neuron tensor clone) on the
-/// configured design point, parallelizing across pallets.
-pub fn simulate_layer_view(cfg: &PraConfig, layer: LayerView<'_>) -> LayerResult {
-    simulate_layer_view_with(cfg, layer, true)
-}
-
-/// [`simulate_layer_view`] with explicit control over pallet-level
-/// parallelism. Results are bit-identical either way (the reduction is
-/// order-preserving and integer sums are associative); the knob exists so
-/// the determinism test can pin that invariant down.
-#[doc(hidden)]
-pub fn simulate_layer_view_with(
-    cfg: &PraConfig,
-    layer: LayerView<'_>,
-    parallel: bool,
-) -> LayerResult {
-    let sched = LayerScheduler::new(cfg, layer.window, layer.neurons);
-    simulate_layer_sched(cfg, layer, &sched, None, parallel)
-}
-
-/// Simulates one borrowed layer against an externally-built (typically
-/// shared) [`LayerScheduler`], optionally reusing precomputed NM/SB
-/// traffic counters. Cycle-for-cycle identical to [`simulate_layer_view`]
-/// when the scheduler was built for `cfg`'s encoding key, scheduler
-/// parameters and the layer's window — [`crate::SharedEncodedNetwork`]
-/// enforces that pairing.
+/// Simulates one borrowed layer against a [`LayerScheduler`] (typically
+/// shared across design points), parallelizing across pallets and
+/// optionally reusing precomputed NM/SB traffic counters. `sched` must
+/// have been built for `cfg`'s encoding key, scheduler parameters and
+/// the layer's window — [`crate::SharedEncodedNetwork`] enforces that
+/// pairing. Results are bit-identical at any thread count: the
+/// reduction is order-preserving and integer sums are associative.
 pub fn simulate_layer_shared(
     cfg: &PraConfig,
     layer: LayerView<'_>,
     sched: &LayerScheduler,
     traffic: Option<&AccessCounters>,
-) -> LayerResult {
-    simulate_layer_sched(cfg, layer, sched, traffic, true)
-}
-
-/// Shared core of the memoized simulation paths.
-fn simulate_layer_sched(
-    cfg: &PraConfig,
-    layer: LayerView<'_>,
-    sched: &LayerScheduler,
-    traffic: Option<&AccessCounters>,
-    parallel: bool,
 ) -> LayerResult {
     let spec = layer.spec;
     let dispatcher = layer_dispatcher(cfg);
@@ -88,11 +67,7 @@ fn simulate_layer_sched(
     // thread churn down when layer simulation runs nested inside an
     // already-parallel batch (the sweep driver's jobs).
     const MIN_PALLETS_PER_WORKER: usize = 8;
-    let workers = if parallel {
-        rayon::current_num_threads().min(selected.len() / MIN_PALLETS_PER_WORKER).max(1)
-    } else {
-        1
-    };
+    let workers = rayon::current_num_threads().min(selected.len() / MIN_PALLETS_PER_WORKER).max(1);
     let totals = if workers > 1 {
         // Contiguous chunks, mapped in input order and summed in chunk
         // order: the same deterministic reduction the sweep driver pins
@@ -331,28 +306,19 @@ fn schedule_column(cfg: &PraConfig, layer: &LayerWorkload, brick: &[u16; BRICK])
 }
 
 /// Simulates a network's convolutional layers on the configured design
-/// point, labelled with [`PraConfig::label`].
-pub fn run(cfg: &PraConfig, workload: &NetworkWorkload) -> RunResult {
-    assert_eq!(cfg.repr, workload.repr, "configuration representation must match the workload");
-    let mut result = RunResult::new(cfg.label());
-    for layer in &workload.layers {
-        result.layers.push(simulate_layer(cfg, layer));
-    }
-    result
-}
-
-/// [`run`] against build-once shared artifacts — a finished
-/// [`SharedEncodedNetwork`] or a [`PipelinedBuild`] still in flight
-/// (see [`Artifacts`]): every layer borrows its shared scheduler (and,
-/// when available, the engine-independent traffic counters) instead of
-/// re-encoding and re-scheduling per design point. Against an in-flight
+/// point, labelled with [`PraConfig::label`], against build-once shared
+/// artifacts — a finished [`SharedEncodedNetwork`] or a
+/// [`PipelinedBuild`] still in flight (see [`Artifacts`]): every layer
+/// borrows its shared scheduler (and, when available, the
+/// engine-independent traffic counters) instead of re-encoding and
+/// re-scheduling per design point. Against an in-flight
 /// build, layer `idx` simulates as soon as the builder has produced it,
 /// so encoding of layer *n + 1* overlaps simulation of layer *n*.
 /// `on_layer(idx, partial)` fires the moment layer `idx` finishes, with
 /// the run result accumulated so far — the serving tier's v2 streaming
 /// hook (each call becomes one `layer_result` wire frame). Neither the
-/// artifact source nor the observer changes the result: cycle-for-cycle
-/// identical to [`run`].
+/// artifact source nor the observer changes the result: each layer is
+/// cycle-for-cycle identical to [`simulate_layer`] on that layer.
 ///
 /// # Panics
 ///
@@ -404,7 +370,7 @@ mod tests {
     }
 
     fn dadn_cycles(layer: &LayerWorkload) -> u64 {
-        pra_engines::dadn::layer_cycles(&ChipConfig::dadn(), layer)
+        pra_engines::dadn::layer_cycles(&ChipConfig::dadn(), &layer.spec)
     }
 
     fn unpadded_layer(fill: impl FnMut(usize, usize, usize) -> u16) -> LayerWorkload {
@@ -563,20 +529,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "must match")]
     fn run_rejects_mismatched_representation() {
-        let w = pra_workloads::NetworkWorkload::build_with_model(
-            pra_workloads::Network::AlexNet,
-            Representation::Quant8,
-            pra_workloads::ActivationModel {
-                zero_frac: 0.5,
-                sigma: 0.2,
-                suffix_density: 0.0,
-                outlier_prob: 0.0,
-                dense_prob: 0.0,
-                heavy_share: 0.0,
-            },
-            1,
-        );
-        let cfg = PraConfig::two_stage(2, Representation::Fixed16);
-        let _ = run(&cfg, &w);
+        // The toy workload is Fixed16; a Quant8 design point must not
+        // simulate it, even against artifacts built for that point.
+        let w = crate::shared::test_toy_workload();
+        let cfg = PraConfig::two_stage(2, Representation::Quant8);
+        let shared = crate::SharedEncodedNetwork::from_workload(&[cfg], &w);
+        let _ = run_shared(&cfg, &w, &shared, |_, _| {});
     }
 }

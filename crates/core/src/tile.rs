@@ -27,10 +27,8 @@
 //! zero: the column must still latch the synapse set (and, under
 //! per-column sync, tick the SSR down counter).
 
-use serde::{Deserialize, Serialize};
-
 /// Per-pallet outcome of one synchronization policy.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PalletOutcome {
     /// Cycles the tile spent on this pallet.
     pub cycles: u64,

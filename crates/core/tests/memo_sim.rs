@@ -5,18 +5,20 @@
 //! ([`pra_core::simulate_layer_raw`]) — not just in total cycles but in
 //! every counter — across the design space: both encodings, trimming on
 //! and off, every first-stage width, every synchronization policy, both
-//! representations, ragged geometry and sampled fidelity. A separate test
-//! pins the pallet-parallel invariant: parallel and serial simulation of
-//! the same layer are bit-identical.
+//! representations, ragged geometry and sampled fidelity. One case is
+//! wide enough (64 pallets) that the memoized path splits its pallets
+//! into several parallel chunks at 2+ threads, which pins the
+//! pallet-parallel reduction against the serial oracle.
 //!
 //! The same obligation holds one level up for the cross-config shared
-//! artifacts: [`pra_core::run_shared`] against one
-//! [`SharedEncodedNetwork`] must equal per-config [`pra_core::run`]
-//! result-for-result across the grid of encodings, trim settings, sync
-//! policies and representations the sweep mixes into one job.
+//! artifacts: every layer of [`pra_core::run_shared`] against one
+//! [`SharedEncodedNetwork`] must equal [`pra_core::simulate_layer`] on
+//! that layer — the unshared path the oracle grid above pins — across
+//! the grid of encodings, trim settings, sync policies and
+//! representations the sweep mixes into one job.
 
 use pra_core::{
-    run, run_shared, simulate_layer, simulate_layer_raw, Encoding, Fidelity, PraConfig,
+    run_shared, simulate_layer, simulate_layer_raw, Encoding, Fidelity, PraConfig,
     SharedEncodedNetwork, SyncPolicy,
 };
 use pra_fixed::PrecisionWindow;
@@ -112,15 +114,24 @@ fn memoized_equals_raw_for_quant8() {
 
 #[test]
 fn pallet_parallel_equals_serial() {
-    // The pallet-parallel reduction is order-preserving, so the parallel
-    // and serial paths must agree bit-for-bit — the same invariant the
-    // sweep driver pins for its job rows.
-    let layer = toy_layer();
+    // 64 pallets (64×16 windows, four per row) give the memoized path
+    // up to eight contiguous chunks — several at any thread count ≥ 2 —
+    // so its order-preserving reduction runs for real and must match
+    // the serial oracle bit for bit. CI runs this file at
+    // RAYON_NUM_THREADS = 1, 2 and 8.
+    let spec = ConvLayerSpec::new("wide", (64, 16, 32), (3, 3), 64, 1, 1).unwrap();
+    assert_eq!(spec.pallets(), 64);
+    let layer = LayerWorkload {
+        neurons: Tensor3::from_fn(spec.input, |x, y, i| {
+            ((x * 131 + y * 241 + i * 37) % 4093) as u16
+        }),
+        spec,
+        window: PrecisionWindow::with_width(9, 2),
+        stripes_precision: 9,
+    };
     for sync in [SyncPolicy::PerPallet, SyncPolicy::PerColumn { ssrs: 2 }] {
         let cfg = PraConfig { sync, ..PraConfig::two_stage(2, Representation::Fixed16) };
-        let parallel = pra_core::sim::simulate_layer_view_with(&cfg, layer.view(), true);
-        let serial = pra_core::sim::simulate_layer_view_with(&cfg, layer.view(), false);
-        assert_eq!(parallel, serial, "{sync}");
+        assert_identical(&cfg, &layer, &format!("64 pallets, {sync}"));
     }
 }
 
@@ -169,13 +180,8 @@ fn assert_shared_equals_per_config(configs: &[PraConfig], w: &NetworkWorkload, w
     let shared = SharedEncodedNetwork::from_workload(configs, w);
     for cfg in configs {
         let via_shared = run_shared(cfg, w, &shared, |_, _| {});
-        let per_config = run(cfg, w);
-        assert_eq!(
-            via_shared.layers,
-            per_config.layers,
-            "shared != per-config for {} ({what})",
-            cfg.label()
-        );
+        let unshared: Vec<_> = w.layers.iter().map(|l| simulate_layer(cfg, l)).collect();
+        assert_eq!(via_shared.layers, unshared, "shared != unshared for {} ({what})", cfg.label());
     }
 }
 

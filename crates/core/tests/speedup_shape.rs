@@ -3,26 +3,36 @@
 //! by the bench targets; these tests pin the *shape*: who wins, by roughly
 //! what factor, and the orderings that must hold.
 
-use pra_core::{Fidelity, PraConfig, SyncPolicy};
+use pra_core::{run_shared, Fidelity, PraConfig, SharedEncodedNetwork, SyncPolicy};
 use pra_engines::{dadn, stripes};
-use pra_sim::{geomean, ChipConfig};
+use pra_sim::{geomean, ChipConfig, RunResult};
 use pra_workloads::{Network, NetworkWorkload, Representation};
 
 const SEED: u64 = 0x51AE;
 const FIDELITY: Fidelity = Fidelity::Sampled { max_pallets: 48 };
 
-fn speedups_for(repr: Representation, cfgs: &[PraConfig]) -> (Vec<f64>, Vec<Vec<f64>>) {
+/// Stripes' and each design point's speedup over DaDN on `w`, run the
+/// way a sweep job runs them: one shared build for every design point,
+/// the baselines over the workload's views and the shared traffic.
+fn speedups_on(w: &NetworkWorkload, cfgs: &[PraConfig]) -> (f64, Vec<f64>) {
     let chip = ChipConfig::dadn();
+    let shared = SharedEncodedNetwork::from_workload(cfgs, w);
+    let views = w.views();
+    let traffic = shared.traffic_view(&chip, Default::default(), w.repr);
+    let base = dadn::run_views(&chip, &views, w.repr, traffic);
+    let speedup = |r: RunResult| r.speedup_over(&base);
+    let pra = cfgs.iter().map(|cfg| speedup(run_shared(cfg, w, &shared, |_, _| {}))).collect();
+    (speedup(stripes::run_views(&chip, &views, w.repr, traffic)), pra)
+}
+
+fn speedups_for(repr: Representation, cfgs: &[PraConfig]) -> (Vec<f64>, Vec<Vec<f64>>) {
     let mut stripes_all = vec![];
     let mut pra_all = vec![vec![]; cfgs.len()];
     for net in Network::ALL {
-        let w = NetworkWorkload::build(net, repr, SEED);
-        let base = dadn::run(&chip, &w);
-        let s = stripes::run(&chip, &w);
-        stripes_all.push(s.speedup_over(&base));
-        for (k, cfg) in cfgs.iter().enumerate() {
-            let r = pra_core::run(cfg, &w);
-            pra_all[k].push(r.speedup_over(&base));
+        let (s, pra) = speedups_on(&NetworkWorkload::build(net, repr, SEED), cfgs);
+        stripes_all.push(s);
+        for (all, p) in pra_all.iter_mut().zip(pra) {
+            all.push(p);
         }
     }
     (stripes_all, pra_all)
@@ -92,20 +102,17 @@ fn fig10_column_sync_shape() {
 
 #[test]
 fn table5_software_guidance_benefit() {
-    let chip = ChipConfig::dadn();
+    let cfg = PraConfig::per_column(1, Representation::Fixed16).with_fidelity(FIDELITY);
     let mut benefits = vec![];
     for net in Network::ALL {
         let w = NetworkWorkload::build(net, Representation::Fixed16, SEED);
-        let base = dadn::run(&chip, &w);
-        let cfg = PraConfig::per_column(1, Representation::Fixed16).with_fidelity(FIDELITY);
-        let with_trim = pra_core::run(&cfg, &w).speedup_over(&base);
-        let without = pra_core::run(&cfg.with_trim(false), &w).speedup_over(&base);
+        let (str_speedup, pra) = speedups_on(&w, &[cfg, cfg.with_trim(false)]);
+        let (with_trim, without) = (pra[0], pra[1]);
         let benefit = with_trim / without - 1.0;
         println!("{net}: trim {with_trim:.2} no-trim {without:.2} benefit {benefit:.2}");
         benefits.push(benefit);
         // PRA outperforms the other architectures even without software
         // guidance (§VI-E conclusion 1).
-        let str_speedup = stripes::run(&chip, &w).speedup_over(&base);
         assert!(without > str_speedup, "{net}: no-trim PRA {without} <= STR {str_speedup}");
     }
     let avg = benefits.iter().sum::<f64>() / benefits.len() as f64;

@@ -6,13 +6,11 @@
 //! With both chips running at the same frequency, `E = P × cycles / f`,
 //! so efficiency is the speedup divided by the power ratio.
 
-use serde::{Deserialize, Serialize};
-
 use crate::chip::chip_power_w;
 use crate::unit::Design;
 
 /// Energy accounting for one design on one workload.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyReport {
     /// Which design.
     pub design: Design,

@@ -1,12 +1,10 @@
 //! Per-unit (tile NFU) area composition, excluding the SB/NBin/NBout
 //! memory blocks — the "Area U." rows of Tables III and IV.
 
-use serde::{Deserialize, Serialize};
-
 use crate::primitives::{adder_tree, and_gates, barrel_shifter, multiplier, registers};
 
 /// A design point whose area/power the model can evaluate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Design {
     /// DaDianNao: 256 16-bit multipliers + 16 17-input 32-bit adder trees.
     Dadn,

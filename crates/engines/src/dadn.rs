@@ -8,18 +8,14 @@
 //! the neuron values — DaDN processes every bit of every neuron.
 
 use pra_sim::{AccessCounters, ChipConfig, Dispatcher, LayerResult, NeuronMemory, RunResult};
-use pra_workloads::{LayerView, LayerWorkload, NetworkWorkload, Representation};
+use pra_tensor::ConvLayerSpec;
+use pra_workloads::{LayerView, LayerWorkload, Representation};
 
 use crate::shared_traffic;
 
 /// DaDN cycles for a layer: one brick step per cycle per window, times
-/// filter groups.
-pub fn layer_cycles(cfg: &ChipConfig, layer: &LayerWorkload) -> u64 {
-    layer_cycles_spec(cfg, &layer.spec)
-}
-
-/// [`layer_cycles`] from the bare geometry (DaDN is value-blind).
-pub fn layer_cycles_spec(cfg: &ChipConfig, spec: &pra_tensor::ConvLayerSpec) -> u64 {
+/// filter groups. DaDN is value-blind, so the geometry is all it needs.
+pub fn layer_cycles(cfg: &ChipConfig, spec: &ConvLayerSpec) -> u64 {
     (spec.windows() * spec.brick_steps()) as u64 * cfg.filter_groups(spec.num_filters) as u64
 }
 
@@ -53,20 +49,16 @@ pub fn simulate_layer_view(
     counters.terms = spec.multiplications() * crate::bit_parallel_terms_per_mult(repr);
     LayerResult {
         layer: spec.name().to_string(),
-        cycles: layer_cycles_spec(cfg, spec),
+        cycles: layer_cycles(cfg, spec),
         multiplications: spec.multiplications(),
         counters,
     }
 }
 
-/// Simulates a network's convolutional layers on DaDN.
-pub fn run(cfg: &ChipConfig, workload: &NetworkWorkload) -> RunResult {
-    let views: Vec<LayerView<'_>> = workload.layers.iter().map(|l| l.view()).collect();
-    run_views(cfg, &views, workload.repr, None)
-}
-
-/// [`run`] over borrowed layer views, optionally reusing per-layer
-/// engine-independent traffic counters (index-aligned with `views`).
+/// Simulates a network's convolutional layers on DaDN, over borrowed
+/// layer views ([`pra_workloads::NetworkWorkload::views`]), optionally
+/// reusing per-layer engine-independent traffic counters (index-aligned
+/// with `views`).
 pub fn run_views(
     cfg: &ChipConfig,
     views: &[LayerView<'_>],
@@ -84,7 +76,7 @@ pub fn run_views(
 mod tests {
     use super::*;
     use pra_fixed::PrecisionWindow;
-    use pra_tensor::{ConvLayerSpec, Tensor3};
+    use pra_tensor::Tensor3;
 
     fn toy_layer(nx: usize, i: usize, n: usize) -> LayerWorkload {
         let spec = ConvLayerSpec::new("toy", (nx, nx, i), (3, 3), n, 1, 1).unwrap();
@@ -97,7 +89,7 @@ mod tests {
         let cfg = ChipConfig::dadn();
         let l = toy_layer(16, 32, 256);
         // 16x16 windows, 3*3*2 brick steps, 1 filter group.
-        assert_eq!(layer_cycles(&cfg, &l), 16 * 16 * 18);
+        assert_eq!(layer_cycles(&cfg, &l.spec), 16 * 16 * 18);
     }
 
     #[test]
@@ -105,7 +97,7 @@ mod tests {
         let cfg = ChipConfig::dadn();
         let small = toy_layer(16, 32, 256);
         let big = toy_layer(16, 32, 512);
-        assert_eq!(layer_cycles(&cfg, &big), 2 * layer_cycles(&cfg, &small));
+        assert_eq!(layer_cycles(&cfg, &big.spec), 2 * layer_cycles(&cfg, &small.spec));
     }
 
     #[test]
@@ -133,6 +125,6 @@ mod tests {
         let cfg = ChipConfig::dadn();
         let l17 = toy_layer(8, 17, 16);
         let l32 = toy_layer(8, 32, 16);
-        assert_eq!(layer_cycles(&cfg, &l17), layer_cycles(&cfg, &l32));
+        assert_eq!(layer_cycles(&cfg, &l17.spec), layer_cycles(&cfg, &l32.spec));
     }
 }

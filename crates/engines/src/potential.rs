@@ -13,8 +13,6 @@
 //! count per spatial coordinate, making the whole study exact in one pass
 //! over the neuron array.
 
-use serde::{Deserialize, Serialize};
-
 use pra_fixed::csd;
 use pra_tensor::ConvLayerSpec;
 use pra_workloads::{LayerWorkload, NetworkWorkload, Representation};
@@ -22,7 +20,7 @@ use pra_workloads::{LayerWorkload, NetworkWorkload, Representation};
 use crate::zero_skip;
 
 /// Equivalent term counts for one layer or network, per engine.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TermCounts {
     /// Bit-parallel baseline (DaDN at 16 bit, or the 8-bit engine of
     /// Fig. 3).
@@ -70,7 +68,7 @@ impl TermCounts {
 }
 
 /// Term counts relative to the bit-parallel baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NormalizedTerms {
     /// Ideal zero skipping / baseline.
     pub zn: f64,

@@ -18,7 +18,7 @@
 
 use pra_sim::{AccessCounters, ChipConfig, Dispatcher, LayerResult, NeuronMemory, RunResult};
 use pra_tensor::brick::{brick_steps, pallets};
-use pra_workloads::{LayerView, LayerWorkload, NetworkWorkload, Representation};
+use pra_workloads::{LayerView, LayerWorkload, Representation};
 
 use crate::shared_traffic;
 
@@ -78,14 +78,10 @@ pub fn simulate_layer_view(
     }
 }
 
-/// Simulates a network's convolutional layers on Stripes.
-pub fn run(cfg: &ChipConfig, workload: &NetworkWorkload) -> RunResult {
-    let views: Vec<LayerView<'_>> = workload.layers.iter().map(|l| l.view()).collect();
-    run_views(cfg, &views, workload.repr, None)
-}
-
-/// [`run`] over borrowed layer views, optionally reusing per-layer
-/// engine-independent traffic counters (index-aligned with `views`).
+/// Simulates a network's convolutional layers on Stripes, over borrowed
+/// layer views ([`pra_workloads::NetworkWorkload::views`]), optionally
+/// reusing per-layer engine-independent traffic counters (index-aligned
+/// with `views`).
 pub fn run_views(
     cfg: &ChipConfig,
     views: &[LayerView<'_>],

@@ -42,7 +42,7 @@ fn dadn_cycles_match_closed_form_on_all_networks() {
     let chip = ChipConfig::dadn();
     for net in Network::ALL {
         let w = zero_workload(net);
-        let r = dadn::run(&chip, &w);
+        let r = dadn::run_views(&chip, &w.views(), w.repr, None);
         for (lr, layer) in r.layers.iter().zip(&w.layers) {
             let spec = &layer.spec;
             let expected = (spec.windows() * spec.brick_steps()) as u64
@@ -62,8 +62,8 @@ fn stripes_bounded_by_dadn_times_raggedness() {
     let chip = ChipConfig::dadn();
     for net in Network::ALL {
         let w = zero_workload(net);
-        let d = dadn::run(&chip, &w);
-        let s = stripes::run(&chip, &w);
+        let d = dadn::run_views(&chip, &w.views(), w.repr, None);
+        let s = stripes::run_views(&chip, &w.views(), w.repr, None);
         for ((dl, sl), layer) in d.layers.iter().zip(&s.layers).zip(&w.layers) {
             let spec = &layer.spec;
             let ragged = (spec.pallets() * 16) as f64 / spec.windows() as f64;
@@ -85,8 +85,8 @@ fn stripes_speedup_bounded_by_ideal_16_over_p() {
     let chip = ChipConfig::dadn();
     for net in Network::ALL {
         let w = zero_workload(net);
-        let d = dadn::run(&chip, &w);
-        let s = stripes::run(&chip, &w);
+        let d = dadn::run_views(&chip, &w.views(), w.repr, None);
+        let s = stripes::run_views(&chip, &w.views(), w.repr, None);
         for ((dl, sl), layer) in d.layers.iter().zip(&s.layers).zip(&w.layers) {
             let speedup = dl.cycles as f64 / sl.cycles as f64;
             let ideal = 16.0 / f64::from(layer.stripes_precision);
@@ -102,7 +102,7 @@ fn nm_fetch_latency_stays_hidden_on_all_real_layers() {
     let chip = ChipConfig::dadn();
     for net in Network::ALL {
         let w = zero_workload(net);
-        let s = stripes::run(&chip, &w);
+        let s = stripes::run_views(&chip, &w.views(), w.repr, None);
         for l in &s.layers {
             assert_eq!(l.counters.stall_cycles, 0, "{net}/{}", l.layer);
         }
@@ -142,8 +142,8 @@ fn full_precision_stripes_equals_dadn_modulo_raggedness() {
             l.stripes_precision = 16;
             l.window = PrecisionWindow::full();
         }
-        let d = dadn::run(&chip, &w).total_cycles();
-        let s = stripes::run(&chip, &w).total_cycles();
+        let d = dadn::run_views(&chip, &w.views(), w.repr, None).total_cycles();
+        let s = stripes::run_views(&chip, &w.views(), w.repr, None).total_cycles();
         // With p = 16, Stripes' only deviation from DaDN is ragged pallet
         // slots (s >= d), bounded by the lane-waste audit above.
         assert!(s >= d, "{net}");

@@ -4,8 +4,6 @@
 //! bits that are 1. Table I reports it two ways: over all neurons ("All")
 //! and over the non-zero neurons only ("NZ").
 
-use serde::{Deserialize, Serialize};
-
 /// Number of essential (non-zero) bits of a stored value — a popcount.
 ///
 /// ```
@@ -27,7 +25,7 @@ pub fn essential_bit_positions(v: u16) -> impl Iterator<Item = u8> {
 ///
 /// Accumulates the quantities needed for one cell pair of Table I:
 /// fraction of non-zero bits over all neurons and over non-zero neurons.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BitContentStats {
     /// Total neurons observed.
     pub neurons: u64,

@@ -11,10 +11,8 @@
 //! module implements the recoding as the natural extension and the
 //! `ablation_booth` bench quantifies what it would buy.
 
-use serde::{Deserialize, Serialize};
-
 /// One signed power-of-two term: `±2^pow`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SignedPower {
     /// The power of two. For 16-bit inputs this can be 16 (e.g.
     /// `0xFFFF = 2¹⁶ − 2⁰`).

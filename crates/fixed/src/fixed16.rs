@@ -6,10 +6,8 @@
 //! an unsigned representation suffices for the neuron stream; synapses stay
 //! bit-parallel signed 16-bit and need no conversion.
 
-use serde::{Deserialize, Serialize};
-
 /// Fixed-point format: number of fraction bits in the 16-bit container.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FixedSpec {
     frac_bits: u8,
 }

@@ -18,10 +18,8 @@
 //! In the worst case all 16 bits of a neuron are 1 and its PRA
 //! representation holds 16 oneffsets.
 
-use serde::{Deserialize, Serialize};
-
 /// One oneffset: a power of two plus the end-of-neuron marker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Oneffset {
     /// The power of two (0–15 for 16-bit neurons, 0–7 for 8-bit).
     pub pow: u8,
@@ -41,7 +39,7 @@ pub struct Oneffset {
 /// assert_eq!(n.powers(), &[7, 8, 10]);
 /// assert_eq!(n.decode(), 0b0000_0101_1000_0000);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OneffsetList {
     powers: [u8; 16],
     len: u8,

@@ -11,11 +11,9 @@
 //! A [`PrecisionWindow`] is the inclusive bit range `[lsb, msb]` a layer
 //! needs; [`PrecisionWindow::trim`] is the hardware masking operation.
 
-use serde::{Deserialize, Serialize};
-
 /// An inclusive range of significant bit positions `[lsb, msb]` within a
 /// 16-bit stored value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PrecisionWindow {
     msb: u8,
     lsb: u8,

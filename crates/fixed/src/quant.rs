@@ -6,10 +6,8 @@
 //! minimum and maximum neuron values of each layer and rounding uses the
 //! recommended round-half-away-from-zero mode.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-layer linear quantization parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantParams {
     min: f32,
     max: f32,

@@ -1,13 +1,17 @@
 //! Rule configuration: which rules run where.
 //!
-//! The built-in defaults encode this repository's policy (see
-//! DESIGN.md §11); a `pra-lint.toml` at the workspace root overrides
-//! them so the policy is visible and reviewable in-tree. The parser
+//! This repository's policy lives in one place, the in-tree
+//! `pra-lint.toml` (see DESIGN.md §11): the linter compiles it in as its
+//! default, and a `pra-lint.toml` at the root of the tree being linted
+//! is applied on top. The parser
 //! handles exactly the subset the config needs — `[rule.<name>]`
 //! sections with string-list and boolean keys — because the workspace
 //! builds offline and the linter must stay dependency-free.
 
 use std::collections::BTreeMap;
+
+/// The in-tree policy file, the single source of [`Config::repo_default`].
+const REPO_POLICY: &str = include_str!("../../../pra-lint.toml");
 
 /// How a rule's findings count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,88 +68,14 @@ pub struct Config {
 }
 
 impl Config {
-    /// This repository's policy (mirrored by the in-tree
-    /// `pra-lint.toml`; see DESIGN.md §11 for the rationale per rule).
+    /// This repository's policy: the in-tree `pra-lint.toml`, compiled
+    /// in and applied to an empty config (see DESIGN.md §11 for the
+    /// rationale per rule). Rules the file does not name keep
+    /// [`Config::rule`]'s everywhere-deny default.
     pub fn repo_default() -> Config {
-        let mut rules = BTreeMap::new();
-        let with = |include: &[&str], exclude: &[&str]| RuleCfg {
-            include: include.iter().map(|s| s.to_string()).collect(),
-            exclude: exclude.iter().map(|s| s.to_string()).collect(),
-            ..RuleCfg::default()
-        };
-        // Determinism-critical code: everything that can reach a CSV,
-        // a digest, a serialized cache payload or a wire response.
-        rules.insert(
-            "deterministic-iteration".to_string(),
-            with(
-                &[
-                    "crates/bench/src",
-                    "crates/core/src",
-                    "crates/engines/src",
-                    "crates/lint/src",
-                    "crates/router/src",
-                    "crates/serve/src",
-                    "crates/sim/src",
-                    "crates/workloads/src",
-                    "src",
-                ],
-                &[],
-            ),
-        );
-        // Wall clocks are legitimate only where time *is* the payload:
-        // the serve latency split and linger window, the sweep's phase
-        // timings, the client-side load generator, the cache's
-        // stale-temp GC, the supervisor's deadline/wedge bookkeeping,
-        // the chaos layer's injected stalls, and the router's probe
-        // scheduling and heartbeat deadlines.
-        rules.insert(
-            "no-wall-clock".to_string(),
-            with(
-                &[],
-                &[
-                    "crates/bench/src/sweep.rs",
-                    "crates/chaos/src",
-                    "crates/router/src",
-                    "crates/serve/src/bench.rs",
-                    "crates/serve/src/queue.rs",
-                    "crates/serve/src/service.rs",
-                    "crates/serve/src/supervisor.rs",
-                    "crates/workloads/src/cache.rs",
-                ],
-            ),
-        );
-        rules.insert("no-thread-id".to_string(), RuleCfg::default());
-        // The serve request path: a malformed request or a poisoned
-        // lock must shed or answer a typed error, never kill a worker.
-        // (The one deliberate panic — the chaos worker-panic site —
-        // carries a written in-source allow-suppression.) The router's
-        // data path is held to the same bar; its cluster module is
-        // bench/test scaffolding and exempt.
-        rules.insert(
-            "serve-no-panic".to_string(),
-            with(
-                &[
-                    "crates/router/src",
-                    "crates/serve/src/protocol.rs",
-                    "crates/serve/src/queue.rs",
-                    "crates/serve/src/server.rs",
-                    "crates/serve/src/service.rs",
-                    "crates/serve/src/supervisor.rs",
-                ],
-                &["crates/router/src/cluster.rs"],
-            ),
-        );
-        rules.insert("relaxed-ordering-comment".to_string(), RuleCfg::default());
-        rules.insert("no-static-mut".to_string(), RuleCfg::default());
-        rules.insert("unsafe-safety-comment".to_string(), RuleCfg::default());
-        Config {
-            exclude: vec![
-                "target".to_string(),
-                "shims".to_string(),
-                "crates/lint/tests/fixtures".to_string(),
-            ],
-            rules,
-        }
+        let mut cfg = Config { exclude: Vec::new(), rules: BTreeMap::new() };
+        cfg.apply_toml(REPO_POLICY).expect("the in-tree pra-lint.toml parses");
+        cfg
     }
 
     /// A permissive configuration for fixture tests: every rule applies
@@ -280,7 +210,7 @@ mod tests {
         assert!(cfg.rule("deterministic-iteration").applies_to("crates/router/src/router.rs"));
         // The artifact serializer feeds content-addressed cache payloads:
         // iteration order there IS the byte stream, so it must stay in
-        // scope (pra-lint.toml carries the same `crates/core/src` prefix).
+        // scope (pra-lint.toml's `crates/core/src` prefix covers it).
         assert!(cfg.rule("deterministic-iteration").applies_to("crates/core/src/artifact.rs"));
         assert!(cfg.rule("unsafe-safety-comment").applies_to("anything/at/all.rs"));
     }

@@ -7,8 +7,7 @@
 //! object per line, rendered with [`json_string`] escaping and read
 //! back with the scanners below — both ends of every connection in the
 //! workspace go through this module, so escaping and field extraction
-//! can never drift apart (the workspace builds offline; see
-//! `shims/README.md` for why there is no serde here).
+//! can never drift apart.
 //!
 //! Parse failures are **typed**: every parser in `protocol.rs` returns
 //! a [`ParseError`] carrying both what went wrong and the offending

@@ -39,7 +39,6 @@ use pra_core::{run_shared, ArtifactPool, Artifacts, PraConfig, SharedEncodedNetw
 use pra_engines::{dadn, stripes};
 use pra_sim::{ChipConfig, RunResult};
 use pra_workloads::cache::CacheOutcome;
-use pra_workloads::LayerView;
 
 use crate::protocol::{
     repr_label, response_digest, Engine, LatencySplit, Request, Response, ShedReason, StatsSnapshot,
@@ -620,7 +619,7 @@ fn run_batch(
         // through it.
         stats.encoded_hits.fetch_add(1, Ordering::Relaxed);
     }
-    let views: Vec<LayerView<'_>> = workload.layers.iter().map(|l| l.view()).collect();
+    let views = workload.views();
     let chip = ChipConfig::dadn();
     let traffic = shared.as_ref().and_then(|s| s.traffic_view(&chip, Default::default(), key.repr));
 

@@ -10,14 +10,12 @@
 //! inherits the memory system unchanged, so the analysis applies to every
 //! modelled engine equally.
 
-use serde::{Deserialize, Serialize};
-
 use pra_tensor::{ConvLayerSpec, BRICK};
 
 use crate::config::ChipConfig;
 
 /// Memory footprint of one layer and how it maps onto the chip.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryFootprint {
     /// Bytes of input neurons as stored in NM (ragged channel bricks are
     /// padded to whole bricks by the pallet-major layout).
@@ -71,7 +69,7 @@ pub fn layer_footprint(cfg: &ChipConfig, spec: &ConvLayerSpec, bits: u32) -> Mem
 }
 
 /// Network-level capacity summary.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CapacityReport {
     /// Layers whose neurons overflow NM.
     pub nm_overflow_layers: usize,

@@ -7,10 +7,8 @@
 //! parallelism: each tile combines every synapse brick with 16 neuron
 //! bricks, one per window of a pallet.
 
-use serde::{Deserialize, Serialize};
-
 /// Structural parameters shared by every modelled accelerator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChipConfig {
     /// Number of tiles (DaDN: 16).
     pub tiles: usize,

@@ -1,7 +1,5 @@
 //! Access and activity counters consumed by the energy model.
 
-use serde::{Deserialize, Serialize};
-
 /// Event counts accumulated while simulating a layer.
 ///
 /// The scheduling convention (matching §VI-A's "computation was scheduled
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// SB read energy") is that one *synapse-set read* covers the 256 synapses
 /// a tile consumes for one brick step, and every engine performs the same
 /// number of such reads.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AccessCounters {
     /// Neuron bricks fetched from NM (padding bricks excluded — they are
     /// injected as zeros by the dispatcher without an NM access).

@@ -8,15 +8,13 @@
 //! with processing of the current pallet, so a pallet step costs
 //! `max(NMC, PC)` cycles.
 
-use serde::{Deserialize, Serialize};
-
 use pra_tensor::brick::{BrickStep, PalletRef};
 use pra_tensor::ConvLayerSpec;
 
 use crate::neuron_memory::NeuronMemory;
 
 /// The dispatcher: wraps the NM model and implements the overlap rule.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Dispatcher {
     nm: NeuronMemory,
 }

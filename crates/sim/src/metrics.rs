@@ -1,11 +1,9 @@
 //! Run results and derived metrics.
 
-use serde::{Deserialize, Serialize};
-
 use crate::counters::AccessCounters;
 
 /// Result of simulating one convolutional layer on one engine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerResult {
     /// The layer's name.
     pub layer: String,
@@ -18,7 +16,7 @@ pub struct LayerResult {
 }
 
 /// Result of simulating a network's convolutional layers on one engine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunResult {
     /// Engine label, e.g. `"DaDN"`, `"Stripes"`, `"PRA-2b"`.
     pub engine: String,

@@ -24,13 +24,11 @@
 //! every row between its first and last in-bounds lane's. `RowMajor`
 //! and wider strides count rows lane by lane, the closed form's oracle.
 
-use serde::{Deserialize, Serialize};
-
 use pra_tensor::brick::{brick_for, in_bounds_lanes, BrickStep, PalletRef};
 use pra_tensor::{ConvLayerSpec, BRICK, PALLET};
 
 /// Storage order of a layer's neuron array inside NM.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum NmLayout {
     /// Brick-interleaved layout optimised for pallet fetches (default).
     #[default]
@@ -40,7 +38,7 @@ pub enum NmLayout {
 }
 
 /// The Neuron Memory model: layout plus row geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NeuronMemory {
     layout: NmLayout,
     /// Neurons per row (row bytes over neuron width).

@@ -1,12 +1,10 @@
-use serde::{Deserialize, Serialize};
-
 use crate::error::ShapeError;
 use crate::tensor3::Tensor3;
 use crate::BRICK;
 
 /// Dimensions of a 3D neuron array: `x` (width), `y` (height) and `i`
 /// (channels / depth). The paper writes the input array as `Nx × Ny × I`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Dim3 {
     /// Extent along the `x` (width) dimension.
     pub x: usize,
@@ -46,7 +44,7 @@ impl From<(usize, usize, usize)> for Dim3 {
 
 /// Spatial dimensions of a filter (`Fx × Fy`); the channel depth always
 /// equals the input depth `I`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FilterDim {
     /// Filter extent along `x`.
     pub x: usize,
@@ -66,7 +64,7 @@ impl From<(usize, usize)> for FilterDim {
 /// synapses over the input in a sliding-window fashion with constant
 /// `stride`, producing an `Ox × Oy × N` output where
 /// `Ox = (Nx − Fx + 2·pad)/S + 1` and `Oy = (Ny − Fy + 2·pad)/S + 1`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ConvLayerSpec {
     name: String,
     /// Input neuron array dimensions `Nx × Ny × I`.

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::shape::Dim3;
 use crate::BRICK;
 
@@ -9,7 +7,7 @@ use crate::BRICK;
 /// `index(x, y, i) = (y · Nx + x) · I + i`. A *brick* — [`BRICK`] elements
 /// contiguous along `i` — is therefore contiguous in memory, matching how
 /// DaDianNao and Pragmatic lay neurons out in the Neuron Memory (§IV-A1).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tensor3<T> {
     dim: Dim3,
     data: Vec<T>,

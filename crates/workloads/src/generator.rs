@@ -26,7 +26,6 @@
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use pra_fixed::PrecisionWindow;
 use pra_tensor::{ConvLayerSpec, Tensor3};
@@ -103,7 +102,7 @@ impl Sampler {
 }
 
 /// The two neuron representations evaluated in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Representation {
     /// DaDianNao's 16-bit fixed point (§I).
     Fixed16,
@@ -137,7 +136,7 @@ impl std::fmt::Display for Representation {
 
 /// Distribution parameters of the synthetic activation stream for one
 /// network and representation. Produced by [`crate::calibrate`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ActivationModel {
     /// Probability a neuron is exactly zero (rectified).
     pub zero_frac: f64,
@@ -489,6 +488,12 @@ impl NetworkWorkload {
     /// Total multiplications over all layers.
     pub fn total_multiplications(&self) -> u64 {
         self.layers.iter().map(|l| l.spec.multiplications()).sum()
+    }
+
+    /// Borrowed views of every layer, in order — the input the baseline
+    /// engines' `run_views` take.
+    pub fn views(&self) -> Vec<LayerView<'_>> {
+        self.layers.iter().map(LayerWorkload::view).collect()
     }
 }
 

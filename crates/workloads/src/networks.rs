@@ -8,13 +8,11 @@
 //! paper reports for it in Table II — with approximately the module's
 //! multiplication count.
 
-use serde::{Deserialize, Serialize};
-
 use pra_tensor::ConvLayerSpec;
 
 /// The six state-of-the-art image-classification networks of the paper's
 /// evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Network {
     /// AlexNet (5 convolutional layers).
     AlexNet,

@@ -8,8 +8,6 @@
 //!   all neurons ("All") and over non-zero neurons ("NZ"), for the 16-bit
 //!   fixed-point and the 8-bit quantized representations.
 
-use serde::{Deserialize, Serialize};
-
 use crate::networks::Network;
 
 /// Table II per-layer neuron precisions (bits) for `net`.
@@ -26,7 +24,7 @@ pub fn precisions(net: Network) -> &'static [u8] {
 
 /// One network's row of Table I: essential-bit fractions (as fractions,
 /// not percent).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Table1Row {
     /// 16-bit fixed point, over all neurons.
     pub fp16_all: f64,
@@ -72,7 +70,7 @@ pub fn table5_software_benefit(net: Network) -> f64 {
 /// Paper-reported speedups over DaDianNao used in paper-vs-measured
 /// reports: Stripes (Fig. 9 leftmost bars, geometric-mean 1.85×) and the
 /// headline PRA variants.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PaperSpeedups {
     /// Stripes speedup over DaDN (geo mean 1.85).
     pub stripes: f64,

@@ -6,7 +6,7 @@
 //! cargo run --release --example alexnet_tour
 //! ```
 
-use pragmatic::core::{Fidelity, PraConfig};
+use pragmatic::core::{run_shared, Fidelity, PraConfig, SharedEncodedNetwork};
 use pragmatic::energy::efficiency::{efficiency, EnergyReport};
 use pragmatic::energy::unit::Design;
 use pragmatic::engines::{dadn, potential, stripes};
@@ -19,16 +19,19 @@ fn main() {
     let w = NetworkWorkload::build(Network::AlexNet, Representation::Fixed16, 42);
 
     let fidelity = Fidelity::Sampled { max_pallets: 128 };
-    let base = dadn::run(&chip, &w);
-    let str_r = stripes::run(&chip, &w);
-    let pra2b = pragmatic::core::run(
-        &PraConfig::two_stage(2, Representation::Fixed16).with_fidelity(fidelity),
-        &w,
-    );
-    let pra1r = pragmatic::core::run(
-        &PraConfig::per_column(1, Representation::Fixed16).with_fidelity(fidelity),
-        &w,
-    );
+    let configs = [
+        PraConfig::two_stage(2, Representation::Fixed16).with_fidelity(fidelity),
+        PraConfig::per_column(1, Representation::Fixed16).with_fidelity(fidelity),
+    ];
+    // One build encodes and schedules the layers once for both design
+    // points; the baselines reuse its NM/SB traffic counters.
+    let shared = SharedEncodedNetwork::from_workload(&configs, &w);
+    let views = w.views();
+    let traffic = shared.traffic_view(&chip, Default::default(), w.repr);
+    let base = dadn::run_views(&chip, &views, w.repr, traffic);
+    let str_r = stripes::run_views(&chip, &views, w.repr, traffic);
+    let pra2b = run_shared(&configs[0], &w, &shared, |_, _| {});
+    let pra1r = run_shared(&configs[1], &w, &shared, |_, _| {});
 
     println!("\nper-layer speedup over DaDN:");
     println!(

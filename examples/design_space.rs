@@ -7,7 +7,7 @@
 //! cargo run --release --example design_space
 //! ```
 
-use pragmatic::core::{Fidelity, PraConfig, SyncPolicy};
+use pragmatic::core::{run_shared, Fidelity, PraConfig, SharedEncodedNetwork, SyncPolicy};
 use pragmatic::energy::chip::{chip_area_mm2, chip_power_w};
 use pragmatic::energy::unit::Design;
 use pragmatic::engines::dadn;
@@ -21,7 +21,6 @@ fn main() {
     let nets = [Network::AlexNet, Network::Vgg19];
     let workloads: Vec<_> =
         nets.iter().map(|&n| NetworkWorkload::build(n, Representation::Fixed16, 3)).collect();
-    let bases: Vec<_> = workloads.iter().map(|w| dadn::run(&chip, w)).collect();
 
     let mut points: Vec<(String, Design, PraConfig)> = Vec::new();
     for l in 0..=4u8 {
@@ -35,6 +34,19 @@ fn main() {
         };
         points.push((cfg.label(), Design::Pra { first_stage_bits: 2, ssrs }, cfg));
     }
+    // One build per workload serves every design point; the baselines
+    // reuse its NM/SB traffic counters.
+    let configs: Vec<PraConfig> = points.iter().map(|(_, _, cfg)| *cfg).collect();
+    let shared: Vec<_> =
+        workloads.iter().map(|w| SharedEncodedNetwork::from_workload(&configs, w)).collect();
+    let bases: Vec<_> = workloads
+        .iter()
+        .zip(&shared)
+        .map(|(w, s)| {
+            let traffic = s.traffic_view(&chip, Default::default(), w.repr);
+            dadn::run_views(&chip, &w.views(), w.repr, traffic)
+        })
+        .collect();
 
     let dadn_area = chip_area_mm2(Design::Dadn);
     let dadn_power = chip_power_w(Design::Dadn);
@@ -45,8 +57,9 @@ fn main() {
     for (label, design, cfg) in points {
         let speedups: Vec<f64> = workloads
             .iter()
+            .zip(&shared)
             .zip(&bases)
-            .map(|(w, b)| pragmatic::core::run(&cfg, w).speedup_over(b))
+            .map(|((w, s), b)| run_shared(&cfg, w, s, |_, _| {}).speedup_over(b))
             .collect();
         let s = geomean(&speedups);
         let a = chip_area_mm2(design);

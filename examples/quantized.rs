@@ -6,7 +6,7 @@
 //! cargo run --release --example quantized
 //! ```
 
-use pragmatic::core::{Fidelity, PraConfig, SyncPolicy};
+use pragmatic::core::{run_shared, Fidelity, PraConfig, SharedEncodedNetwork, SyncPolicy};
 use pragmatic::engines::{dadn, stripes};
 use pragmatic::fixed::QuantParams;
 use pragmatic::sim::ChipConfig;
@@ -28,31 +28,31 @@ fn main() {
     println!("\nNiN under the quantized representation:");
     let chip = ChipConfig::dadn();
     let w = NetworkWorkload::build(Network::NiN, Representation::Quant8, 9);
-    let base = dadn::run(&chip, &w);
     let fid = Fidelity::Sampled { max_pallets: 64 };
-    let configs = [
-        ("Stripes (p<=8)", None),
-        (
-            "PRA perPall-2b",
-            Some(PraConfig::two_stage(2, Representation::Quant8).with_fidelity(fid)),
-        ),
-        (
-            "PRA perCol-1R-2b",
-            Some(PraConfig::per_column(1, Representation::Quant8).with_fidelity(fid)),
-        ),
+    let pra = [
+        ("PRA perPall-2b", PraConfig::two_stage(2, Representation::Quant8).with_fidelity(fid)),
+        ("PRA perCol-1R-2b", PraConfig::per_column(1, Representation::Quant8).with_fidelity(fid)),
         (
             "PRA perCol-ideal",
-            Some(PraConfig {
+            PraConfig {
                 sync: SyncPolicy::PerColumnIdeal,
                 ..PraConfig::two_stage(2, Representation::Quant8).with_fidelity(fid)
-            }),
+            },
         ),
     ];
-    for (name, cfg) in configs {
-        let speedup = match cfg {
-            None => stripes::run(&chip, &w).speedup_over(&base),
-            Some(cfg) => pragmatic::core::run(&cfg, &w).speedup_over(&base),
-        };
+    // One build serves every design point; the baselines reuse its NM/SB
+    // traffic counters.
+    let configs: Vec<PraConfig> = pra.iter().map(|(_, cfg)| *cfg).collect();
+    let shared = SharedEncodedNetwork::from_workload(&configs, &w);
+    let views = w.views();
+    let traffic = shared.traffic_view(&chip, Default::default(), w.repr);
+    let base = dadn::run_views(&chip, &views, w.repr, traffic);
+    let mut runs = vec![("Stripes (p<=8)", stripes::run_views(&chip, &views, w.repr, traffic))];
+    for (name, cfg) in &pra {
+        runs.push((*name, run_shared(cfg, &w, &shared, |_, _| {})));
+    }
+    for (name, r) in runs {
+        let speedup = r.speedup_over(&base);
         println!("  {name:18} {speedup:>5.2}x over the 8-bit bit-parallel baseline");
     }
     println!(

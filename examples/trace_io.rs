@@ -6,7 +6,7 @@
 //! cargo run --release --example trace_io
 //! ```
 
-use pragmatic::core::{Fidelity, PraConfig};
+use pragmatic::core::{run_shared, Fidelity, PraConfig, SharedEncodedNetwork};
 use pragmatic::engines::dadn;
 use pragmatic::sim::ChipConfig;
 use pragmatic::workloads::traces::{workload_from_trace, write_trace};
@@ -31,8 +31,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let chip = ChipConfig::dadn();
     let cfg = PraConfig::two_stage(2, Representation::Fixed16)
         .with_fidelity(Fidelity::Sampled { max_pallets: 64 });
-    let base = dadn::run(&chip, &traced);
-    let pra = pragmatic::core::run(&cfg, &traced);
+    let shared = SharedEncodedNetwork::from_workload(&[cfg], &traced);
+    let traffic = shared.traffic_view(&chip, Default::default(), traced.repr);
+    let base = dadn::run_views(&chip, &traced.views(), traced.repr, traffic);
+    let pra = run_shared(&cfg, &traced, &shared, |_, _| {});
     println!(
         "PRA-2b on the traced workload: {:.2}x over DaDN ({} vs {} cycles)",
         pra.speedup_over(&base),
@@ -41,7 +43,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Identical to simulating the original workload: the trace is lossless.
-    let direct = pragmatic::core::run(&cfg, &original);
+    let original_shared = SharedEncodedNetwork::from_workload(&[cfg], &original);
+    let direct = run_shared(&cfg, &original, &original_shared, |_, _| {});
     assert_eq!(direct.total_cycles(), pra.total_cycles());
     println!("trace round-trip is lossless (cycle counts identical)");
 

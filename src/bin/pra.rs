@@ -65,8 +65,8 @@ use std::process::ExitCode;
 
 use pra_bench::sweep::{self, SweepConfig};
 use pra_bench::Table;
-use pragmatic::core::{Fidelity, PraConfig};
-use pragmatic::engines::{dadn, potential, stripes};
+use pragmatic::core::Fidelity;
+use pragmatic::engines::potential;
 use pragmatic::sim::{capacity, ChipConfig};
 use pragmatic::workloads::cache::{self, ArtifactKind, ArtifactStore, Cache};
 use pragmatic::workloads::{Network, NetworkWorkload, Representation};
@@ -137,22 +137,13 @@ fn cmd_potential(net: Network) {
 }
 
 fn cmd_speedup(net: Network, repr: Representation) {
-    let chip = ChipConfig::dadn();
     let w = NetworkWorkload::build(net, repr, 0x90AD);
-    let base = dadn::run(&chip, &w);
-    let fid = pra_bench::fidelity();
+    let configs = sweep::pra_configs(repr, pra_bench::fidelity());
+    let runs = pra_bench::run_engines(&configs, &w);
     println!("{net} ({repr}): speedup over the bit-parallel baseline");
-    println!("  Stripes    {:>5.2}x", stripes::run(&chip, &w).speedup_over(&base));
-    for cfg in [
-        PraConfig::two_stage(2, repr).with_fidelity(fid),
-        PraConfig::single_stage(repr).with_fidelity(fid),
-        PraConfig::per_column(1, repr).with_fidelity(fid),
-    ] {
-        println!(
-            "  {:10} {:>5.2}x",
-            cfg.label(),
-            pragmatic::core::run(&cfg, &w).speedup_over(&base)
-        );
+    let labels = std::iter::once("Stripes".to_string()).chain(configs.iter().map(|c| c.label()));
+    for (label, speedup) in labels.zip(runs.speedups()) {
+        println!("  {label:10} {speedup:>5.2}x");
     }
 }
 

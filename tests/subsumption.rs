@@ -94,21 +94,14 @@ fn trimming_never_hurts() {
 
 #[test]
 fn network_level_orderings_hold_on_alexnet() {
-    let chip = ChipConfig::dadn();
     let w = NetworkWorkload::build(Network::AlexNet, Representation::Fixed16, 0x600D);
     let fid = Fidelity::Sampled { max_pallets: 24 };
-    let base = dadn::run(&chip, &w);
-    let str_s = stripes::run(&chip, &w).speedup_over(&base);
-    let p2 = pragmatic::core::run(
-        &PraConfig::two_stage(2, Representation::Fixed16).with_fidelity(fid),
-        &w,
-    )
-    .speedup_over(&base);
-    let p2_1r = pragmatic::core::run(
-        &PraConfig::per_column(1, Representation::Fixed16).with_fidelity(fid),
-        &w,
-    )
-    .speedup_over(&base);
+    let configs = [
+        PraConfig::two_stage(2, Representation::Fixed16).with_fidelity(fid),
+        PraConfig::per_column(1, Representation::Fixed16).with_fidelity(fid),
+    ];
+    let s = pra_bench::run_engines(&configs, &w).speedups();
+    let (str_s, p2, p2_1r) = (s[0], s[1], s[2]);
     assert!(str_s > 1.0);
     assert!(p2 > str_s);
     assert!(p2_1r > p2);
