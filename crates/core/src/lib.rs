@@ -12,7 +12,7 @@
 //! * [`config`] — [`PraConfig`]: first-stage shifter width `L`,
 //!   synchronization policy, software trimming, representation, encoding,
 //!   simulation fidelity.
-//! * [`column`] — the per-column oneffset scheduler: the greedy
+//! * [`column`](mod@column) — the per-column oneffset scheduler: the greedy
 //!   minimum-oneffset rule of Fig. 7 that decides, each cycle, which lanes
 //!   consume an oneffset and which stall.
 //! * [`pip`] — the Pragmatic Inner Product unit datapath (Fig. 6): shift,
