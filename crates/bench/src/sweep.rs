@@ -4,9 +4,9 @@
 //! One *job* is a `(network, representation)` pair, structured around
 //! build-once shared artifacts (DESIGN.md §8): the job generates the
 //! calibrated workload once (parallel row jobs), builds one
-//! [`SharedEncodedNetwork`] covering every PRA design point (one mask
-//! encoding, one schedule memo per scheduler configuration, one NM/SB
-//! traffic count), and then hands borrowed `LayerView`s plus the shared
+//! [`SharedEncodedNetwork`] covering every PRA design point (one schedule
+//! table per layer and scheduler configuration, one NM/SB traffic
+//! count), and then hands borrowed `LayerView`s plus the shared
 //! artifacts to every engine — nothing is re-encoded or recounted per
 //! design point. Jobs are independent, so the sweep fans them out across
 //! a work-stealing thread pool and collects the per-engine speedup rows
@@ -57,7 +57,7 @@ pub struct SweepConfig {
     pub parallel: bool,
     /// The tiered artifact store every job resolves through
     /// (DESIGN.md §9, §15): workload streams, traffic tables and
-    /// encoded masks/memos. `ArtifactStore::at_default().no_disk()`
+    /// schedule tables. `ArtifactStore::at_default().no_disk()`
     /// (`pra sweep --no-cache`) regenerates everything; results are
     /// byte-identical either way.
     pub store: ArtifactStore,
@@ -108,8 +108,11 @@ pub struct JobTiming {
     /// Milliseconds generating the calibrated workload (including the
     /// first-use calibration fit on whichever job triggers it).
     pub gen_ms: f64,
-    /// Milliseconds building the shared artifacts: mask encodings,
-    /// schedule memos, engine-independent traffic counters.
+    /// Milliseconds starting the shared-artifact build: key derivation
+    /// and the traffic-table probe (a cold table is counted on the
+    /// builder). Scheduling the tables cold, or decoding the entry
+    /// warm, runs on the builder thread while Phase 3 simulates and is
+    /// not counted here.
     pub encode_ms: f64,
     /// Milliseconds running every engine against the shared artifacts.
     pub sim_ms: f64,
@@ -123,9 +126,9 @@ pub struct JobTiming {
     /// content-addressed store, generation skipped), `"miss"`
     /// (generated and published) or `"off"` (tier disabled).
     pub cache: String,
-    /// Encoded-artifact-tier outcome (masks + schedule memos): `"hit"`
-    /// (encode phase replaced by a deserialize), `"miss"` (encoded
-    /// fresh, published after simulation) or `"off"`.
+    /// Encoded-artifact-tier outcome (schedule tables): `"hit"`
+    /// (scheduling replaced by a decode), `"miss"` (scheduled fresh,
+    /// published by `finish`) or `"off"`.
     pub encoded: String,
     /// Traffic-tier outcome: `"hit"`, `"miss"` or `"off"` (disabled, or
     /// the configuration set does not share one traffic view).
@@ -222,11 +225,11 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepOutcome {
 
         // Phase 2 — start the pipelined shared-artifact build. The
         // foreground cost here is key derivation plus the (small)
-        // traffic-table probe; the heavy work — mask encoding cold, the
-        // streamed decode of the persisted entry warm — rides the
-        // builder thread and overlaps Phase 3's lead simulation. A warm
-        // sweep's encode phase is therefore the probe alone: warm runs
-        // are simulation-only (DESIGN.md §15).
+        // traffic-table probe; the heavy work — scheduling every brick
+        // cold, decoding the persisted tables warm — rides the builder
+        // thread and overlaps Phase 3's lead simulation. A warm sweep's
+        // encode phase is therefore the probe alone: warm runs are
+        // simulation-only (DESIGN.md §15).
         let encode_start = Instant::now();
         let configs = pra_configs(repr, cfg.fidelity);
         let workload = Arc::new(workload);
@@ -235,11 +238,10 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepOutcome {
         let encode_ms = ms(encode_start);
 
         // Phase 3 — the lead PRA configuration consumes the build layer
-        // by layer (simulating layer n while layer n+1 encodes or
-        // decodes); the remaining configurations follow over the
-        // then-complete layers. Every PRA sim runs before `finish` so
-        // the published entry carries fully-warmed schedule memos —
-        // the next process starts simulation-only.
+        // by layer (simulating layer n while a cold build schedules
+        // layer n+1; a warm build hands over every layer once its entry
+        // decoded); the remaining configurations follow over the
+        // then-complete layers.
         let sim_start = Instant::now();
         let pra_results: Vec<pra_sim::RunResult> = configs
             .iter()

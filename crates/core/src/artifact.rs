@@ -1,71 +1,68 @@
-//! The persisted encoded-artifact tier: serialization of
-//! [`EncodedLayer`] mask buffers and warm [`LayerScheduler`] memo
-//! tables (DESIGN.md §15).
+//! The persisted encoded-artifact tier: serialization of the
+//! [`LayerScheduler`] tables of a build (DESIGN.md §15).
 //!
-//! The encode phase — trimming and term-encoding every neuron, plus the
-//! brick-schedule memo fills the simulator performs — is a pure
-//! function of the workload's neuron values and the distinct
-//! `(EncodingKey, SchedulerConfig)` pairs a run evaluates. This module
-//! persists that work in the content-addressed cache
-//! (`pra_workloads::cache`) as a second artifact kind next to workload
-//! streams and traffic tables, so a warm process pays a deserialize
-//! instead of a re-encode:
+//! A layer's schedule table is a pure function of the workload's neuron
+//! values and one `(EncodingKey, SchedulerConfig)` pair. This module
+//! persists a build's tables in the content-addressed cache
+//! (`pra_workloads::cache`) as a third artifact kind next to workload
+//! streams and traffic tables, so a warm process pays a read instead of
+//! a re-schedule:
 //!
-//! * **One entry per (workload, pair set)** — a single payload covers
-//!   every distinct pair, preserving the in-memory sharing invariant on
-//!   load: pairs that agree on the [`EncodingKey`] share one mask
-//!   buffer `Arc`, exactly as a fresh build would.
+//! * **One entry per (workload, pair set)** — a single payload holds one
+//!   table per layer per distinct pair, in the build's pair order.
 //! * **Fidelity-free keys** — the key deliberately excludes
-//!   [`crate::Fidelity`]: a `Sampled` run visits a subset of the bricks
-//!   a `Full` run visits, and memo values are pure functions of
-//!   `(masks, SchedulerConfig)`, so one entry serves both. Memo slots
-//!   never visited serialize as the lazy sentinel and stay lazy after a
-//!   load.
-//! * **Seed-aware keys** — unlike traffic tables, masks *do* depend on
-//!   neuron values, so the key absorbs the workload's content address
+//!   [`crate::Fidelity`]: every build schedules every in-grid brick, and
+//!   a `Sampled` run reads a subset of the bricks a `Full` run reads, so
+//!   one entry serves both.
+//! * **Seed-aware keys** — unlike traffic tables, schedules *do* depend
+//!   on neuron values, so the key absorbs the workload's content address
 //!   (which covers network descriptor, calibration inputs, generator
 //!   version and seed) plus the workload's actual per-layer geometry
 //!   and windows.
-//! * **Fail-closed loads** — any mismatch (geometry drift, foreign pair
-//!   set, short payload, [`ENCODER_VERSION`] drift, corruption caught
-//!   by the container checksum) makes the load answer `None` and the
-//!   caller re-encode, bit-identically.
+//! * **Whole, fail-closed loads** — the payload decodes as one unit: any
+//!   mismatch (foreign pair set, geometry drift, a short or long
+//!   payload, an impossible table entry, [`ENCODER_VERSION`] drift,
+//!   corruption caught by the container checksum) makes the load answer
+//!   `None` and the caller rebuild every table, bit-identically. The
+//!   decoder never panics on any input.
 
 use std::sync::Arc;
 
+use pra_tensor::Dim3;
 use pra_workloads::cache::{CacheKey, KeyHasher};
 use pra_workloads::NetworkWorkload;
 
 use crate::column::{ScanOrder, SchedulerConfig};
 use crate::config::{Encoding, EncodingKey};
-use crate::schedule::{EncodedLayer, LayerScheduler};
+use crate::schedule::LayerScheduler;
 use crate::shared::SharedLayer;
 
 /// Version of the persisted encoded-artifact payload. Bump whenever a
-/// code change alters the serialized bytes (mask encoding, memo
+/// code change alters the serialized bytes (mask encoding, schedule
 /// packing, payload layout): the version is embedded in every entry
 /// and hashed into every key, so old entries become unreachable
 /// instead of deserializing into wrong artifacts.
-pub const ENCODER_VERSION: u32 = 1;
+pub const ENCODER_VERSION: u32 = 2;
 
-/// Cache entry kind for persisted encoded layers + schedule memos.
+/// Cache entry kind for persisted schedule tables.
 pub const ENCODED_KIND: &str = "en";
 
-/// Compile-time fingerprint of the encoding pipeline's sources (this
-/// module, the encode/schedule pipeline, the scheduler itself and the
-/// fixed-point trim/CSD kernels), mixed into every encoded key: an
-/// encoding change that forgets the [`ENCODER_VERSION`] bump makes old
-/// entries unreachable locally, matching the workload and traffic
-/// caches' fail-closed behavior.
+/// Compile-time fingerprint of the table build's sources (this module,
+/// the table build, the scheduler itself, the fixed-point trim/CSD
+/// kernels and the padded brick read the masks come from), mixed into
+/// every encoded key: a change that forgets the [`ENCODER_VERSION`]
+/// bump makes old entries unreachable locally, matching the workload
+/// and traffic caches' fail-closed behavior.
 fn encoder_source_fingerprint() -> u64 {
     static FP: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
     *FP.get_or_init(|| {
-        let sources: [&str; 5] = [
+        let sources: [&str; 6] = [
             include_str!("artifact.rs"),
             include_str!("schedule.rs"),
             include_str!("column.rs"),
             include_str!("../../fixed/src/precision.rs"),
             include_str!("../../fixed/src/csd.rs"),
+            include_str!("../../tensor/src/tensor3.rs"),
         ];
         let mut h = 0u64;
         for s in sources {
@@ -87,18 +84,6 @@ fn order_tag(o: ScanOrder) -> u8 {
         ScanOrder::LsbFirst => 0,
         ScanOrder::MsbFirst => 1,
     }
-}
-
-/// The distinct [`EncodingKey`]s of `wanted`, preserving
-/// first-appearance order (the same order the shared build dedups in).
-fn distinct_keys(wanted: &[(EncodingKey, SchedulerConfig)]) -> Vec<EncodingKey> {
-    let mut keys: Vec<EncodingKey> = Vec::new();
-    for &(key, _) in wanted {
-        if !keys.contains(&key) {
-            keys.push(key);
-        }
-    }
-    keys
 }
 
 /// Content-address of a workload's encoded artifacts under `wanted`.
@@ -147,185 +132,73 @@ pub(crate) fn encoded_key(
     h.finish()
 }
 
-/// Serializes every layer's shared artifacts: a pair-set descriptor,
-/// then per layer the geometry, one mask buffer per distinct
-/// [`EncodingKey`] and one memo snapshot per pair. All integers are
-/// little-endian; the cache container adds the integrity trailer.
+/// The payload header: layer count, pair count, then each pair's trim,
+/// encoding, `L`, scan order and per-cycle width.
+fn header(layers: usize, wanted: &[(EncodingKey, SchedulerConfig)]) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(&(layers as u32).to_le_bytes());
+    out.extend_from_slice(&(wanted.len() as u32).to_le_bytes());
+    for &(key, cfg) in wanted {
+        out.extend_from_slice(&[
+            u8::from(key.software_trim),
+            encoding_tag(key.encoding),
+            cfg.l_bits,
+            order_tag(cfg.order),
+            cfg.per_cycle,
+        ]);
+    }
+    out
+}
+
+/// A layer's geometry as the payload stores it: `x`, `y`, `i`.
+fn dim_bytes(dim: Dim3) -> Vec<u8> {
+    [dim.x, dim.y, dim.i].iter().flat_map(|&d| (d as u32).to_le_bytes()).collect()
+}
+
+/// Serializes a build's tables: the [`header`], then per layer its
+/// geometry and one table per pair, in the build's order — which is
+/// `wanted`'s. All integers are little-endian; the cache container adds
+/// the integrity trailer.
 pub(crate) fn encode_layers(
     layers: &[SharedLayer],
     wanted: &[(EncodingKey, SchedulerConfig)],
 ) -> Vec<u8> {
-    let keys = distinct_keys(wanted);
-    let mut out = Vec::new();
-    out.extend_from_slice(&(layers.len() as u32).to_le_bytes());
-    out.push(keys.len() as u8);
-    for key in &keys {
-        out.push(u8::from(key.software_trim));
-        out.push(encoding_tag(key.encoding));
-    }
-    out.push(wanted.len() as u8);
-    for &(key, cfg) in wanted {
-        let key_index = keys.iter().position(|k| *k == key).unwrap_or(0) as u8;
-        out.push(key_index);
-        out.push(cfg.l_bits);
-        out.push(order_tag(cfg.order));
-        out.push(cfg.per_cycle);
-    }
+    let mut out = header(layers.len(), wanted);
     for layer in layers {
-        // Every pair of a layer shares one geometry; take it from the
-        // first scheduler's mask buffer.
-        let dim = layer.schedulers[0].2.encoded().dim();
-        for d in [dim.x, dim.y, dim.i] {
-            out.extend_from_slice(&(d as u32).to_le_bytes());
+        if let Some((_, _, first)) = layer.schedulers.first() {
+            out.extend(dim_bytes(first.dim()));
         }
-        for key in &keys {
-            let encoded = layer
-                .schedulers
-                .iter()
-                .find(|(k, _, _)| k == key)
-                .map(|(_, _, s)| s.encoded())
-                .expect("every distinct key has at least one scheduler");
-            out.reserve(encoded.masks().len() * 4);
-            for &m in encoded.masks() {
-                out.extend_from_slice(&m.to_le_bytes());
-            }
-        }
-        for &(key, cfg) in wanted {
-            let sched = layer
-                .schedulers
-                .iter()
-                .find(|(k, s, _)| *k == key && *s == cfg)
-                .map(|(_, _, s)| s)
-                .expect("every wanted pair has a scheduler");
-            let memo = sched.memo_snapshot();
-            out.reserve(memo.len() * 8);
-            for m in memo {
-                out.extend_from_slice(&m.to_le_bytes());
-            }
+        for (_, _, sched) in &layer.schedulers {
+            out.extend(sched.table().iter().flat_map(|e| e.to_le_bytes()));
         }
     }
     out
 }
 
-/// A streaming decoder over an owned payload: the header (pair-set
-/// descriptor) is validated up front by [`LayerDecoder::new`], then
-/// [`LayerDecoder::next_layer`] materializes one layer at a time — so
-/// the build loop can hand layer *n* to a waiting simulation thread
-/// while layer *n + 1* is still being parsed, exactly mirroring how a
-/// cold build streams layers out of the encoder. Every read is
-/// bounds-checked so stale or foreign bytes fail closed (`None`)
-/// instead of panicking.
-pub(crate) struct LayerDecoder {
-    payload: Vec<u8>,
-    pos: usize,
-    keys: Vec<EncodingKey>,
-    wanted: Vec<(EncodingKey, SchedulerConfig)>,
-    pair_key_index: Vec<usize>,
-    dims: Vec<pra_tensor::Dim3>,
-    next: usize,
-}
-
-impl LayerDecoder {
-    /// Validates the payload header against what the caller is about to
-    /// build: the pair set must match `wanted` exactly (content and
-    /// order) and the layer count must match `dims`. `None` on any
-    /// mismatch — the caller re-encodes from the workload.
-    pub(crate) fn new(
-        payload: Vec<u8>,
-        wanted: &[(EncodingKey, SchedulerConfig)],
-        dims: &[pra_tensor::Dim3],
-    ) -> Option<Self> {
-        let mut d = LayerDecoder {
-            payload,
-            pos: 0,
-            keys: distinct_keys(wanted),
-            wanted: wanted.to_vec(),
-            pair_key_index: Vec::with_capacity(wanted.len()),
-            dims: dims.to_vec(),
-            next: 0,
-        };
-        if d.u32()? as usize != d.dims.len() || d.u8()? as usize != d.keys.len() {
-            return None;
+/// Inverse of [`encode_layers`] for a build of `wanted` over layers of
+/// geometry `dims`: every layer decodes, or the payload is `None` — a
+/// foreign header, a geometry mismatch, a short table, an impossible
+/// entry or a trailing byte all fail closed, never panic.
+pub(crate) fn decode_layers(
+    payload: &[u8],
+    wanted: &[(EncodingKey, SchedulerConfig)],
+    dims: &[Dim3],
+) -> Option<Vec<SharedLayer>> {
+    let mut rest = payload.strip_prefix(header(dims.len(), wanted).as_slice())?;
+    let mut layers = Vec::with_capacity(dims.len());
+    for &dim in dims {
+        rest = rest.strip_prefix(dim_bytes(dim).as_slice())?;
+        let bytes = dim.x.checked_mul(dim.y)?.checked_mul(dim.bricks_deep())?.checked_mul(4)?;
+        let mut schedulers = Vec::with_capacity(wanted.len());
+        for &(key, cfg) in wanted {
+            let (raw, tail) = rest.split_at_checked(bytes)?;
+            rest = tail;
+            let table = raw.as_chunks::<4>().0.iter().map(|&w| u32::from_le_bytes(w)).collect();
+            schedulers.push((key, cfg, Arc::new(LayerScheduler::from_table(dim, table)?)));
         }
-        for i in 0..d.keys.len() {
-            let key = d.keys[i];
-            if d.u8()? != u8::from(key.software_trim) || d.u8()? != encoding_tag(key.encoding) {
-                return None;
-            }
-        }
-        if d.u8()? as usize != d.wanted.len() {
-            return None;
-        }
-        for i in 0..d.wanted.len() {
-            let (key, cfg) = d.wanted[i];
-            let key_index = d.u8()? as usize;
-            if d.keys.get(key_index) != Some(&key)
-                || d.u8()? != cfg.l_bits
-                || d.u8()? != order_tag(cfg.order)
-                || d.u8()? != cfg.per_cycle
-            {
-                return None;
-            }
-            d.pair_key_index.push(key_index);
-        }
-        Some(d)
+        layers.push(SharedLayer { schedulers });
     }
-
-    fn take(&mut self, n: usize) -> Option<&[u8]> {
-        let end = self.pos.checked_add(n)?;
-        let head = self.payload.get(self.pos..end)?;
-        self.pos = end;
-        Some(head)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-
-    /// Decodes the next layer in index order, validating its geometry
-    /// against the expected dim. `None` when every layer has already
-    /// been decoded, or on any payload mismatch (fail closed — the
-    /// caller rebuilds that layer fresh, bit-identically).
-    pub(crate) fn next_layer(&mut self) -> Option<SharedLayer> {
-        let dim = *self.dims.get(self.next)?;
-        self.next += 1;
-        let (x, y, i) = (self.u32()? as usize, self.u32()? as usize, self.u32()? as usize);
-        if x != dim.x || y != dim.y || i != dim.i {
-            return None;
-        }
-        let bricks = dim.x.checked_mul(dim.y)?.checked_mul(dim.i.div_ceil(pra_tensor::BRICK))?;
-        let mut encodings: Vec<Arc<EncodedLayer>> = Vec::with_capacity(self.keys.len());
-        for _ in 0..self.keys.len() {
-            let raw = self.take(bricks.checked_mul(pra_tensor::BRICK * 4)?)?;
-            let masks: Vec<u32> =
-                raw.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().unwrap())).collect();
-            encodings.push(Arc::new(EncodedLayer::from_parts(dim, masks)?));
-        }
-        let mut schedulers = Vec::with_capacity(self.wanted.len());
-        for p in 0..self.wanted.len() {
-            let (key, cfg) = self.wanted[p];
-            let raw = self.take(bricks.checked_mul(8)?)?;
-            let memo: Vec<u64> =
-                raw.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect();
-            let encoded = Arc::clone(&encodings[self.pair_key_index[p]]);
-            schedulers.push((
-                key,
-                cfg,
-                Arc::new(LayerScheduler::with_encoded_memo(encoded, cfg, memo)?),
-            ));
-        }
-        Some(SharedLayer { schedulers })
-    }
-
-    /// `true` once every expected layer decoded and no trailing bytes
-    /// remain — only then does the build count the entry as a hit.
-    pub(crate) fn fully_consumed(&self) -> bool {
-        self.next == self.dims.len() && self.pos == self.payload.len()
-    }
+    rest.is_empty().then_some(layers)
 }
 
 #[cfg(test)]

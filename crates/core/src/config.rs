@@ -59,9 +59,10 @@ pub enum Fidelity {
     },
 }
 
-/// The configuration slice that determines a layer's encoded mask buffer
+/// The configuration slice that determines a layer's encoded lane masks
 /// (together with the layer's precision window): design points that agree
-/// here see byte-identical [`crate::EncodedLayer`]s and can share one.
+/// here schedule from identical masks, so a build encodes each brick once
+/// per key and schedules it under every scheduler that shares the key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EncodingKey {
     /// Whether §V-F software trimming is applied before encoding.

@@ -19,22 +19,21 @@
 //!   negate, reduce, second-stage shift; used by the functional model.
 //! * [`tile`] — a 16×16 PIP tile under per-pallet (§V-A4) or per-column
 //!   (§V-E) synchronization with synapse set registers (SSRs).
-//! * [`schedule`] — the layer-scoped scheduling pipeline: encode-once
-//!   mask buffers and the brick-schedule memo the simulator's hot path
-//!   runs on.
+//! * [`schedule`] — layer-scoped scheduling: the dense per-brick
+//!   `(cycles, terms)` table the simulator's hot path reads.
 //! * [`artifact`] — the persisted encoded-artifact tier: serialization
-//!   of mask buffers and warm schedule memos into the content-addressed
-//!   store, keyed over encoding inputs, shared across fidelities.
+//!   of schedule tables into the content-addressed store, keyed over
+//!   encoding inputs, shared across fidelities.
 //! * [`shared`] — build-once artifacts shared across design points:
-//!   one encoding per [`EncodingKey`], one schedule memo per
-//!   [`SchedulerConfig`], one traffic count per layer (the sweep's
-//!   cross-config reuse).
+//!   one schedule table per ([`EncodingKey`], [`SchedulerConfig`])
+//!   pair, one traffic count per layer (the sweep's cross-config
+//!   reuse).
 //! * [`sim`] — layer- and network-level simulation producing
 //!   [`pra_sim::RunResult`]s comparable with the baseline engines:
 //!   [`run_shared`] runs a network against one [`SharedEncodedNetwork`]
 //!   per workload, [`simulate_layer_shared`] one layer against a
 //!   scheduler, [`simulate_layer`] one layer unshared, and
-//!   [`simulate_layer_raw`] is the pre-memoization oracle.
+//!   [`simulate_layer_raw`] is the per-fetch oracle.
 //! * [`functional`] — bit-exact computation of layer outputs through the
 //!   oneffset datapath, verified against the reference convolution.
 //!
@@ -62,7 +61,7 @@ pub mod tile;
 pub use artifact::{ENCODED_KIND, ENCODER_VERSION};
 pub use column::{ScanOrder, SchedulerConfig};
 pub use config::{Encoding, EncodingKey, Fidelity, PraConfig, SyncPolicy};
-pub use schedule::{EncodedLayer, LayerScheduler};
+pub use schedule::LayerScheduler;
 pub use shared::{
     ArtifactPool, Artifacts, PipelinedBuild, PoolClaim, SharedEncodedNetwork, StoreOutcomes,
     TRAFFIC_KIND, TRAFFIC_VERSION,

@@ -1,5 +1,5 @@
-//! Layer-scoped scheduling pipeline: encode once, schedule each brick
-//! once.
+//! Layer-scoped scheduling: one dense `(cycles, terms)` table per layer
+//! and scheduler, built up front.
 //!
 //! The naive simulator re-fetches and re-schedules the *same* input brick
 //! once per overlapping convolution window — a K×K-fold duplication of the
@@ -8,247 +8,127 @@
 //! duplication entirely:
 //!
 //! 1. Trimming (§V-F) and term encoding (oneffset or CSD) are per-neuron
-//!    and layer-uniform, so every neuron can be encoded **exactly once**
-//!    into a flat mask buffer ([`EncodedLayer`]) instead of per fetch.
-//! 2. A [`ColumnSchedule`] is a pure function of the brick's encoded
-//!    masks and the [`SchedulerConfig`] — nothing else. Every window and
-//!    pallet that touches an input brick therefore sees the *same*
-//!    schedule, so one memo entry per brick ([`LayerScheduler`]) turns
-//!    every repeat visit into an O(1) lookup.
+//!    and layer-uniform: a brick's 16 lane masks depend only on its
+//!    values, the layer's precision window and the [`EncodingKey`].
+//! 2. A [`ColumnSchedule`] is a pure function of those masks and the
+//!    [`SchedulerConfig`] (§V-D) — nothing else. Every window and pallet
+//!    that touches an input brick therefore sees the *same* schedule.
 //!
-//! The memo is filled lazily with one atomic slot per brick: the packed
-//! `(cycles, terms)` pair is deterministic, so racing writers under
-//! pallet-level parallelism store identical values and the race is
-//! benign — no locks anywhere on the hot path, and zero heap allocations
-//! per brick step (both buffers are sized once per layer).
+//! So the simulator needs one `(cycles, terms)` pair per brick and
+//! nothing more. [`LayerScheduler`] is that table, one packed `u32` per
+//! in-grid brick; the build encodes each brick's masks once per key on
+//! the stack and schedules them under every scheduler that shares the
+//! key, so no mask buffer outlives it. A brick visit on the hot path is a
+//! bounds check plus a load.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use pra_fixed::csd;
+use pra_fixed::{csd, PrecisionWindow};
 use pra_tensor::brick::BrickRef;
 use pra_tensor::{Dim3, Tensor3, BRICK};
 
-use crate::column::{schedule_brick_with, ColumnSchedule, SchedulerConfig};
+use crate::column::{schedule_brick_with, SchedulerConfig};
 use crate::config::{Encoding, EncodingKey, PraConfig};
 
-/// The per-layer flat mask buffer: every neuron trimmed and encoded
-/// exactly once, stored brick-contiguously (ragged channel tails are
-/// zero-padded to whole bricks) so a brick's 16 lane masks are one
-/// contiguous slice.
+/// Most cycles a brick can take: each cycle drains the anchor power from
+/// every lane holding it, and a CSD mask spans at most 17 powers.
+const MAX_CYCLES: u32 = 17;
+
+/// Most terms a brick can hold: 16 lanes × 17 powers.
+const MAX_TERMS: u32 = 16 * 17;
+
+/// One layer's brick schedules under one `(EncodingKey,
+/// SchedulerConfig)` pair: `cycles << 16 | terms` per in-grid brick
+/// (both fit in 16 bits: see [`MAX_CYCLES`] and [`MAX_TERMS`]), laid out
+/// `(y, brick along i, x)`-major.
+///
+/// Immutable once built, so [`crate::SharedEncodedNetwork`] shares one
+/// table across every design point that agrees on the pair (they may
+/// differ in synchronization policy, fidelity or chip structure).
 #[derive(Debug)]
-pub struct EncodedLayer {
+pub struct LayerScheduler {
     dim: Dim3,
-    bricks_deep: usize,
-    masks: Vec<u32>,
+    table: Vec<u32>,
 }
 
-impl EncodedLayer {
-    /// Trims and encodes every neuron of `neurons` once, per `cfg`'s
-    /// software-trim and encoding settings.
-    pub fn new(
-        cfg: &PraConfig,
-        window: pra_fixed::PrecisionWindow,
-        neurons: &Tensor3<u16>,
-    ) -> Self {
-        Self::with_key(cfg.encoding_key(), window, neurons)
+impl LayerScheduler {
+    /// Schedules every brick of `neurons` under `cfg`'s encoding key and
+    /// scheduler.
+    pub fn new(cfg: &PraConfig, window: PrecisionWindow, neurons: &Tensor3<u16>) -> Self {
+        Self::build(&[(cfg.encoding_key(), cfg.scheduler())], window, neurons).remove(0)
     }
 
-    /// [`EncodedLayer::new`] from the bare [`EncodingKey`] — the masks
-    /// depend on nothing else of a design point, which is what lets
-    /// [`crate::SharedEncodedNetwork`] share one buffer across every
-    /// configuration that agrees on the key.
-    pub fn with_key(
-        key: EncodingKey,
-        window: pra_fixed::PrecisionWindow,
+    /// One table per pair, in `pairs` order, from one pass over the
+    /// layer: a brick's masks are encoded once per run of pairs that
+    /// share a key, so pairs grouped by key encode each key once.
+    pub(crate) fn build(
+        pairs: &[(EncodingKey, SchedulerConfig)],
+        window: PrecisionWindow,
         neurons: &Tensor3<u16>,
-    ) -> Self {
+    ) -> Vec<Self> {
         let dim = neurons.dim();
-        let bricks_deep = dim.i.div_ceil(BRICK);
-        let mut masks = vec![0u32; dim.x * dim.y * bricks_deep * BRICK];
-        let encode = |v: u16| -> u32 {
-            let v = if key.software_trim { window.trim(v) } else { v };
-            match key.encoding {
-                Encoding::Oneffset => u32::from(v),
-                Encoding::Csd => csd::mask(v),
-            }
-        };
+        let bricks = dim.x * dim.y * dim.bricks_deep();
+        let mut tables = vec![Vec::with_capacity(bricks); pairs.len()];
         for y in 0..dim.y {
-            for x in 0..dim.x {
-                for ib in 0..bricks_deep {
+            for ib in 0..dim.bricks_deep() {
+                for x in 0..dim.x {
                     let vals = neurons.brick_padded(x as isize, y as isize, ib * BRICK);
-                    let base = brick_index(dim, bricks_deep, x, y, ib) * BRICK;
-                    for (slot, &v) in masks[base..base + BRICK].iter_mut().zip(&vals) {
-                        *slot = encode(v);
+                    let mut masks = (None, [0u32; BRICK]);
+                    for (table, &(key, scheduler)) in tables.iter_mut().zip(pairs) {
+                        if masks.0 != Some(key) {
+                            masks = (Some(key), vals.map(|v| encode(key, window, v)));
+                        }
+                        let s = schedule_brick_with(&masks.1, scheduler);
+                        table.push((s.cycles << 16) | s.terms);
                     }
                 }
             }
         }
-        Self { dim, bricks_deep, masks }
+        tables.into_iter().map(|table| Self { dim, table }).collect()
     }
 
-    /// Rebuilds an encoded layer from deserialized parts (the persisted
-    /// encoded-artifact tier, `crate::artifact`). Returns `None` unless
-    /// `masks` has exactly the length the geometry implies — a stale or
-    /// foreign payload must fail closed, never index out of bounds.
-    pub(crate) fn from_parts(dim: Dim3, masks: Vec<u32>) -> Option<Self> {
-        let bricks_deep = dim.i.div_ceil(BRICK);
-        (masks.len() == dim.x * dim.y * bricks_deep * BRICK).then_some(Self {
-            dim,
-            bricks_deep,
-            masks,
-        })
+    /// Rebuilds a table from deserialized parts (the persisted
+    /// encoded-artifact tier, `crate::artifact`). `None` unless `table`
+    /// has one entry per in-grid brick of `dim` and every entry is a
+    /// schedule the build could have produced — stale or foreign bytes
+    /// fail closed, never index out of bounds.
+    pub(crate) fn from_table(dim: Dim3, table: Vec<u32>) -> Option<Self> {
+        let sound = table.len() == dim.x * dim.y * dim.bricks_deep()
+            && table.iter().all(|&e| e >> 16 <= MAX_CYCLES && e & 0xFFFF <= MAX_TERMS);
+        sound.then_some(Self { dim, table })
     }
 
-    /// The layer geometry the masks were encoded over.
+    /// The layer geometry the table covers.
     pub(crate) fn dim(&self) -> Dim3 {
         self.dim
     }
 
-    /// The full flat mask buffer, brick-contiguous (serialization).
-    pub(crate) fn masks(&self) -> &[u32] {
-        &self.masks
-    }
-
-    /// The encoded masks of the brick at `(x, y, i0)` (`i0` in neurons,
-    /// a multiple of [`BRICK`]).
-    pub fn brick_masks(&self, x: usize, y: usize, i0: usize) -> &[u32; BRICK] {
-        let base = brick_index(self.dim, self.bricks_deep, x, y, i0 / BRICK) * BRICK;
-        self.masks[base..base + BRICK].try_into().expect("brick slice is BRICK long")
-    }
-
-    /// Number of whole bricks along the channel dimension.
-    pub fn bricks_deep(&self) -> usize {
-        self.bricks_deep
-    }
-}
-
-#[inline]
-fn brick_index(dim: Dim3, bricks_deep: usize, x: usize, y: usize, ib: usize) -> usize {
-    (y * bricks_deep + ib) * dim.x + x
-}
-
-/// Sentinel marking a memo slot that has not been computed yet (a real
-/// entry packs two `u32`s, so the high word can never be all-ones: a
-/// brick's cycle count is bounded by the representation width).
-const UNSET: u64 = u64::MAX;
-
-#[inline]
-fn pack(s: ColumnSchedule) -> u64 {
-    (u64::from(s.cycles) << 32) | u64::from(s.terms)
-}
-
-#[inline]
-fn unpack(packed: u64) -> (u32, u32) {
-    ((packed >> 32) as u32, packed as u32)
-}
-
-/// The layer-scoped brick-schedule memo: encode-once masks plus one
-/// lazily-filled atomic `(cycles, terms)` slot per input brick.
-///
-/// A brick's schedule is a pure function of `(masks, SchedulerConfig)`,
-/// so the scheduler — memo included — is shareable across design points
-/// that agree on those two (they may differ in synchronization policy,
-/// fidelity or chip structure); [`crate::SharedEncodedNetwork`] exploits
-/// exactly this. The mask buffer is held behind an [`Arc`] so schedulers
-/// with different `SchedulerConfig`s still share one encoding.
-#[derive(Debug)]
-pub struct LayerScheduler {
-    encoded: Arc<EncodedLayer>,
-    memo: Vec<AtomicU64>,
-    scheduler: SchedulerConfig,
-    per_cycle: u32,
-}
-
-impl LayerScheduler {
-    /// Builds the pipeline for one layer: O(layer volume) encoding now,
-    /// O(1) per brick visit afterwards.
-    pub fn new(
-        cfg: &PraConfig,
-        window: pra_fixed::PrecisionWindow,
-        neurons: &Tensor3<u16>,
-    ) -> Self {
-        Self::with_encoded(Arc::new(EncodedLayer::new(cfg, window, neurons)), cfg.scheduler())
-    }
-
-    /// Builds the memo over an already-encoded (possibly shared) mask
-    /// buffer.
-    pub fn with_encoded(encoded: Arc<EncodedLayer>, scheduler: SchedulerConfig) -> Self {
-        let bricks = encoded.dim.x * encoded.dim.y * encoded.bricks_deep;
-        let memo = (0..bricks).map(|_| AtomicU64::new(UNSET)).collect();
-        Self { encoded, memo, scheduler, per_cycle: u32::from(scheduler.per_cycle) }
-    }
-
-    /// [`LayerScheduler::with_encoded`] with a deserialized warm memo
-    /// (the persisted encoded-artifact tier): slots holding [`UNSET`]
-    /// stay lazy, everything else is an O(1) hit from the first visit.
-    /// Returns `None` unless `memo` has exactly one slot per brick —
-    /// a stale payload must fail closed. The memo's packed values are a
-    /// pure function of `(masks, scheduler)`, so a warm memo can never
-    /// change a result, only skip recomputing it.
-    pub(crate) fn with_encoded_memo(
-        encoded: Arc<EncodedLayer>,
-        scheduler: SchedulerConfig,
-        memo: Vec<u64>,
-    ) -> Option<Self> {
-        let bricks = encoded.dim.x * encoded.dim.y * encoded.bricks_deep;
-        if memo.len() != bricks {
-            return None;
-        }
-        let memo = memo.into_iter().map(AtomicU64::new).collect();
-        Some(Self { encoded, memo, scheduler, per_cycle: u32::from(scheduler.per_cycle) })
-    }
-
-    /// A plain snapshot of the memo table for serialization (unvisited
-    /// slots read as [`UNSET`] and deserialize back to lazy slots).
-    pub(crate) fn memo_snapshot(&self) -> Vec<u64> {
-        // relaxed-ok: each slot is a self-contained packed u64 filled
-        // with a deterministic value; see `brick_cycles_terms`.
-        self.memo.iter().map(|s| s.load(Ordering::Relaxed)).collect()
-    }
-
-    /// The shared handle to the encode-once mask buffer.
-    pub fn encoded_arc(&self) -> &Arc<EncodedLayer> {
-        &self.encoded
+    /// The packed table (serialization).
+    pub(crate) fn table(&self) -> &[u32] {
+        &self.table
     }
 
     /// The `(cycles, terms)` of the column schedule for the brick at `b`.
     /// Padding bricks (out-of-bounds coordinates, spatial or depth) are
     /// all zeros and cost nothing, mirroring `Tensor3::brick_padded`.
-    /// In-bounds bricks are scheduled on first visit and memoized; the
-    /// schedule is a pure function of the brick's values and the
-    /// scheduler configuration, so concurrent fills race benignly.
     #[inline]
     pub fn brick_cycles_terms(&self, b: BrickRef) -> (u32, u32) {
-        let dim = self.encoded.dim;
+        let dim = self.dim;
         if b.x < 0 || b.y < 0 || b.x as usize >= dim.x || b.y as usize >= dim.y || b.i >= dim.i {
             return (0, 0);
         }
-        let (x, y) = (b.x as usize, b.y as usize);
-        let idx = brick_index(dim, self.encoded.bricks_deep, x, y, b.i / BRICK);
-        // relaxed-ok: the memo slot is a self-contained packed u64;
-        // racing writers all store the same deterministic value, so no
-        // ordering edge to other memory is needed (benign race).
-        let cached = self.memo[idx].load(Ordering::Relaxed);
-        if cached != UNSET {
-            return unpack(cached);
-        }
-        let sched = schedule_brick_with(self.encoded.brick_masks(x, y, b.i), self.scheduler);
-        // relaxed-ok: see the load above — same benign-race argument.
-        self.memo[idx].store(pack(sched), Ordering::Relaxed);
-        (sched.cycles, sched.terms)
+        let packed =
+            self.table[(b.y as usize * dim.bricks_deep() + b.i / BRICK) * dim.x + b.x as usize];
+        (packed >> 16, packed & 0xFFFF)
     }
+}
 
-    /// Reconstructs the full [`ColumnSchedule`] for the brick at `b`
-    /// (`idle_lane_cycles` is derivable from cycles and terms).
-    pub fn brick_schedule(&self, b: BrickRef) -> ColumnSchedule {
-        let (cycles, terms) = self.brick_cycles_terms(b);
-        ColumnSchedule { cycles, terms, idle_lane_cycles: cycles * 16 * self.per_cycle - terms }
-    }
-
-    /// The underlying encode-once mask buffer.
-    pub fn encoded(&self) -> &EncodedLayer {
-        &self.encoded
+/// One neuron's lane mask: trimmed to the window when the key asks for
+/// it, then as a power set (the value itself for oneffsets, its CSD
+/// recoding otherwise).
+fn encode(key: EncodingKey, window: PrecisionWindow, v: u16) -> u32 {
+    let v = if key.software_trim { window.trim(v) } else { v };
+    match key.encoding {
+        Encoding::Oneffset => u32::from(v),
+        Encoding::Csd => csd::mask(v),
     }
 }
 
@@ -256,60 +136,54 @@ impl LayerScheduler {
 mod tests {
     use super::*;
     use crate::column::csd_mask;
-    use pra_fixed::PrecisionWindow;
     use pra_workloads::Representation;
 
-    fn neurons(dim: (usize, usize, usize)) -> Tensor3<u16> {
-        Tensor3::from_fn(dim, |x, y, i| ((x * 31 + y * 17 + i * 13) % 1023) as u16)
-    }
-
     #[test]
-    fn encoded_masks_match_per_fetch_encoding() {
-        let n = neurons((5, 4, 24)); // ragged depth: 24 = 1.5 bricks
+    fn every_entry_matches_a_per_fetch_schedule_and_padding_is_free() {
+        // Ragged depth: 24 channels = 1.5 bricks.
+        let n = Tensor3::from_fn((5, 4, 24), |x, y, i| ((x * 31 + y * 17 + i * 13) % 1023) as u16);
         let window = PrecisionWindow::with_width(9, 2);
         for encoding in [Encoding::Oneffset, Encoding::Csd] {
             for trim in [true, false] {
-                let cfg = PraConfig {
+                let cfg = |l| PraConfig {
                     encoding,
-                    ..PraConfig::two_stage(2, Representation::Fixed16).with_trim(trim)
+                    ..PraConfig::two_stage(l, Representation::Fixed16).with_trim(trim)
                 };
-                let enc = EncodedLayer::new(&cfg, window, &n);
-                for (x, y, i0) in [(0usize, 0usize, 0usize), (4, 3, 16), (2, 1, 0)] {
-                    let got = enc.brick_masks(x, y, i0);
-                    let vals = n.brick_padded(x as isize, y as isize, i0);
-                    for (lane, (&m, &v)) in got.iter().zip(&vals).enumerate() {
-                        let v = if trim { window.trim(v) } else { v };
-                        let want = match encoding {
-                            Encoding::Oneffset => u32::from(v),
-                            Encoding::Csd => csd_mask(v),
-                        };
-                        assert_eq!(m, want, "lane {lane} at ({x},{y},{i0})");
+                let (two, four) = (cfg(2), cfg(4));
+                let pairs = [
+                    (two.encoding_key(), two.scheduler()),
+                    (four.encoding_key(), four.scheduler()),
+                ];
+                let tables = LayerScheduler::build(&pairs, window, &n);
+                for ((_, scheduler), table) in pairs.iter().zip(&tables) {
+                    assert_eq!(table.table.len(), 5 * 4 * 2, "one entry per in-grid brick");
+                    let every_brick = (0..4).flat_map(|y| (0..5).map(move |x| (x, y)));
+                    for ((x, y), i) in every_brick.flat_map(|xy| [(xy, 0), (xy, 16)]) {
+                        let masks = n.brick_padded(x, y, i).map(|v| {
+                            let v = if trim { window.trim(v) } else { v };
+                            match encoding {
+                                Encoding::Oneffset => u32::from(v),
+                                Encoding::Csd => csd_mask(v),
+                            }
+                        });
+                        let want = schedule_brick_with(&masks, *scheduler);
+                        assert_eq!(
+                            table.brick_cycles_terms(BrickRef { x, y, i }),
+                            (want.cycles, want.terms),
+                            "{encoding:?} trim {trim} at ({x},{y},{i})"
+                        );
+                    }
+                    for (x, y, i) in [(-1, 0, 0), (0, -1, 0), (5, 0, 0), (0, 4, 0), (0, 0, 32)] {
+                        let b = BrickRef { x, y, i };
+                        assert_eq!(table.brick_cycles_terms(b), (0, 0), "padding at {b:?}");
                     }
                 }
+                assert_eq!(
+                    LayerScheduler::new(&two, window, &n).table,
+                    tables[0].table,
+                    "the one-pair build is the shared build"
+                );
             }
         }
-    }
-
-    #[test]
-    fn memo_matches_direct_schedule_and_padding_is_free() {
-        let n = neurons((6, 3, 32));
-        let cfg = PraConfig::two_stage(2, Representation::Fixed16);
-        let window = PrecisionWindow::with_width(9, 2);
-        let sched = LayerScheduler::new(&cfg, window, &n);
-        for b in [
-            BrickRef { x: 0, y: 0, i: 0 },
-            BrickRef { x: 5, y: 2, i: 16 },
-            BrickRef { x: 3, y: 1, i: 0 },
-        ] {
-            let direct = schedule_brick_with(
-                sched.encoded().brick_masks(b.x as usize, b.y as usize, b.i),
-                cfg.scheduler(),
-            );
-            // First visit computes, second hits the memo: identical.
-            assert_eq!(sched.brick_schedule(b), direct);
-            assert_eq!(sched.brick_schedule(b), direct);
-        }
-        assert_eq!(sched.brick_cycles_terms(BrickRef { x: -1, y: 0, i: 0 }), (0, 0));
-        assert_eq!(sched.brick_cycles_terms(BrickRef { x: 0, y: 99, i: 0 }), (0, 0));
     }
 }

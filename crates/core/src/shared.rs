@@ -4,13 +4,12 @@
 //! most of what `simulate_layer` builds per run does not depend on the
 //! whole design point:
 //!
-//! * the encoded mask buffer ([`EncodedLayer`]) depends only on the
-//!   layer's neurons, its precision window and the [`EncodingKey`]
-//!   (trim + encoding) — identical for every evaluated PRA variant;
-//! * the brick-schedule memo ([`LayerScheduler`]) depends only on the
-//!   masks and the [`SchedulerConfig`] — synchronization policy, chip
-//!   structure and fidelity never reach it, so e.g. `PRA-2b` and
-//!   `PRA-2b-1R` share one fully-memoized scheduler;
+//! * the brick-schedule table ([`LayerScheduler`]) depends only on the
+//!   layer's neurons, its precision window, the [`EncodingKey`] (trim +
+//!   encoding) and the [`SchedulerConfig`] — synchronization policy,
+//!   chip structure and fidelity never reach it, so e.g. `PRA-2b` and
+//!   `PRA-2b-1R` share one table, and pairs that agree on the key share
+//!   one encoding pass while it is built;
 //! * the NM/SB traffic counters are identical across *all* engines by
 //!   the paper's scheduling convention (§VI-A, [`shared_traffic`]) as
 //!   long as chip, NM layout and representation agree.
@@ -26,9 +25,9 @@
 //!
 //! * the NM/SB traffic table (`"tr"` entries) — geometry + chip view
 //!   only, never neuron values, so one entry serves every seed;
-//! * the encoded masks and schedule memos (`"en"` entries,
-//!   `crate::artifact`) — neuron-value dependent, keyed over the
-//!   workload's content address, shared across fidelities.
+//! * the schedule tables (`"en"` entries, `crate::artifact`) —
+//!   neuron-value dependent, keyed over the workload's content address,
+//!   shared across fidelities.
 //!
 //! There is one build: [`SharedEncodedNetwork::start_pipelined`] runs
 //! the per-layer loop on a background thread,
@@ -45,10 +44,10 @@ use pra_sim::{AccessCounters, ChipConfig, Dispatcher, NeuronMemory, NmLayout};
 use pra_workloads::cache::{ArtifactKind, ArtifactStore, Cache, CacheKey, CacheOutcome, KeyHasher};
 use pra_workloads::{LayerView, NetworkWorkload, Representation};
 
-use crate::artifact::{encode_layers, encoded_key, LayerDecoder, ENCODED_KIND, ENCODER_VERSION};
+use crate::artifact::{decode_layers, encode_layers, encoded_key, ENCODED_KIND, ENCODER_VERSION};
 use crate::column::SchedulerConfig;
 use crate::config::{EncodingKey, PraConfig};
-use crate::schedule::{EncodedLayer, LayerScheduler};
+use crate::schedule::LayerScheduler;
 
 /// Version of the persisted traffic-table artifact. Bump whenever the
 /// traffic-counting convention changes (`shared_traffic`, the
@@ -60,9 +59,9 @@ pub const TRAFFIC_VERSION: u32 = 1;
 /// Cache entry kind for persisted per-layer traffic tables.
 pub const TRAFFIC_KIND: &str = "tr";
 
-/// One layer's shared artifacts: every distinct `(EncodingKey,
-/// SchedulerConfig)` pair the configuration set needs, each holding an
-/// [`Arc`] onto its (possibly further shared) mask buffer.
+/// One layer's shared artifacts: one schedule table per distinct
+/// `(EncodingKey, SchedulerConfig)` pair the configuration set needs, in
+/// [`wanted_pairs`] order.
 pub(crate) struct SharedLayer {
     pub(crate) schedulers: Vec<(EncodingKey, SchedulerConfig, Arc<LayerScheduler>)>,
 }
@@ -98,22 +97,25 @@ fn shared_view(configs: &[PraConfig]) -> Option<TrafficView> {
 /// a configuration set that does not share one traffic view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreOutcomes {
-    /// Encoded masks + schedule memos (`"en"`).
+    /// Schedule tables (`"en"`).
     pub encoded: CacheOutcome,
     /// NM/SB traffic table (`"tr"`).
     pub traffic: CacheOutcome,
 }
 
-/// The distinct `(EncodingKey, SchedulerConfig)` pairs of `configs`,
-/// preserving first-appearance order — the single definition shared by
-/// the build and the encoded-artifact key/payload, so the persisted
-/// pair set can never diverge from what a build constructs.
+/// The distinct `(EncodingKey, SchedulerConfig)` pairs of `configs` in
+/// first-appearance order, grouped by key so the build encodes each
+/// key's masks once — the single definition shared by the build and the
+/// encoded-artifact key/payload, so the persisted pair set can never
+/// diverge from what a build constructs.
 fn wanted_pairs(configs: &[PraConfig]) -> Vec<(EncodingKey, SchedulerConfig)> {
     let mut wanted: Vec<(EncodingKey, SchedulerConfig)> = Vec::new();
-    for cfg in configs {
-        let pair = (cfg.encoding_key(), cfg.scheduler());
-        if !wanted.contains(&pair) {
-            wanted.push(pair);
+    for lead in configs {
+        for cfg in configs.iter().filter(|c| c.encoding_key() == lead.encoding_key()) {
+            let pair = (cfg.encoding_key(), cfg.scheduler());
+            if !wanted.contains(&pair) {
+                wanted.push(pair);
+            }
         }
     }
     wanted
@@ -173,16 +175,15 @@ impl SharedEncodedNetwork {
     /// inline, resolved through the tiered artifact store: the same
     /// per-layer loop [`SharedEncodedNetwork::start_pipelined`] runs on
     /// its builder thread, then the same [`PipelinedBuild::finish`]. The
-    /// encoded tier (`"en"`) streams masks and memos off disk instead of
-    /// encoding; the traffic tier (`"tr"`) replaces the dispatch
+    /// encoded tier (`"en"`) reads the schedule tables off disk instead
+    /// of scheduling; the traffic tier (`"tr"`) replaces the dispatch
     /// recount. `seed` is the workload's generator seed — it reaches the
-    /// encoded key through the workload's content address, since masks
-    /// (unlike traffic) depend on neuron values.
+    /// encoded key through the workload's content address, since
+    /// schedules (unlike traffic) depend on neuron values.
     ///
     /// Either tier falls back bit-identically to a fresh build when
     /// disabled, missing, corrupt, truncated or version-drifted, and
-    /// `finish` publishes what missed — before any simulation, so the
-    /// published memos are cold (valid; their slots refill lazily).
+    /// `finish` publishes what missed.
     ///
     /// # Panics
     ///
@@ -203,13 +204,13 @@ impl SharedEncodedNetwork {
     /// Starts a pipelined (layer-at-a-time, background-thread) build of
     /// the shared artifacts for `workload` under `configs`. The traffic
     /// tier is probed synchronously (counters are small); the *encoded*
-    /// tier's probe — the entry load and its streamed decode — rides the
-    /// builder thread, so this call blocks on nothing heavier than key
-    /// derivation and a warm start's layers become consumable one by
-    /// one, exactly as a cold encode streams them: warm or cold, the
-    /// caller's foreground cost is simulation only. If the build thread
-    /// cannot be spawned, the first consumer builds every layer inline
-    /// (slower, never wrong).
+    /// tier's probe — the entry load and its decode — rides the builder
+    /// thread, so this call blocks on nothing heavier than key
+    /// derivation. A cold build's layers become consumable one by one
+    /// as their tables are scheduled; a warm one's all at once, after
+    /// the whole entry decoded. If the build thread cannot be spawned,
+    /// the first consumer builds every layer inline (slower, never
+    /// wrong).
     ///
     /// # Panics
     ///
@@ -232,7 +233,7 @@ impl SharedEncodedNetwork {
         self.layers.len()
     }
 
-    /// The shared scheduler for `layer` under `cfg`, plus the layer's
+    /// The shared schedule table for `layer` under `cfg`, plus the layer's
     /// NM/SB traffic counters — `None` when `cfg`'s chip, NM layout or
     /// representation differs from the view they were counted under
     /// (the caller then computes its own).
@@ -273,31 +274,14 @@ fn count_traffic(lead: &PraConfig, view: &LayerView<'_>) -> AccessCounters {
     shared_traffic(&lead.chip, view.spec, &Dispatcher::new(nm))
 }
 
-/// Builds one layer's mask buffers and schedulers: every distinct
-/// `(EncodingKey, SchedulerConfig)` pair, with pairs that agree on the
-/// key sharing one mask buffer `Arc` — the sharing invariant the
-/// persisted encoded artifacts reconstruct on load.
+/// Schedules one layer's tables, one per pair of `wanted`, in one pass
+/// over its neurons.
 fn build_layer_artifacts(
     wanted: &[(EncodingKey, SchedulerConfig)],
     view: &LayerView<'_>,
 ) -> SharedLayer {
-    let mut encodings: Vec<(EncodingKey, Arc<EncodedLayer>)> = Vec::new();
-    let mut schedulers = Vec::with_capacity(wanted.len());
-    for &(key, sched_cfg) in wanted {
-        let encoded = match encodings.iter().find(|(k, _)| *k == key) {
-            Some((_, e)) => Arc::clone(e),
-            None => {
-                let e = Arc::new(EncodedLayer::with_key(key, view.window, view.neurons));
-                encodings.push((key, Arc::clone(&e)));
-                e
-            }
-        };
-        schedulers.push((
-            key,
-            sched_cfg,
-            Arc::new(LayerScheduler::with_encoded(encoded, sched_cfg)),
-        ));
-    }
+    let tables = LayerScheduler::build(wanted, view.window, view.neurons);
+    let schedulers = wanted.iter().zip(tables).map(|(&(k, s), t)| (k, s, Arc::new(t))).collect();
     SharedLayer { schedulers }
 }
 
@@ -320,12 +304,12 @@ struct PipeState {
     /// Set (with a wakeup) when the loop stops, normally or not —
     /// waiters must never block on a slot that will never fill.
     finished: bool,
-    /// What the encoded store tier contributed. The loop owns the probe
-    /// (so a pipelined warm start blocks on nothing heavier than key
-    /// derivation) and resolves this from its initial value — `Miss`
-    /// for a tier-enabled build, `Disabled` otherwise — in the same
-    /// critical section that publishes the final layer: any consumer
-    /// that has seen every layer reads a settled value.
+    /// What the encoded store tier contributed: `Disabled` when the
+    /// tier is off, else `Miss` until the loop's probe decodes the
+    /// entry. The loop owns the probe (so a pipelined warm start blocks
+    /// on nothing heavier than key derivation) and settles this in the
+    /// critical section that publishes layer 0: any consumer that has
+    /// seen a layer reads a settled value.
     encoded_outcome: CacheOutcome,
 }
 
@@ -346,43 +330,32 @@ impl Drop for NotifyOnStop<'_> {
     }
 }
 
-/// The one per-layer build loop. Each layer streams off the encoded
-/// entry while it decodes — a missing entry or a mid-stream failure
-/// drops the decoder (a failed stream must not misalign later layers)
-/// and encodes that layer and every later one fresh, bit-identically —
-/// takes or counts its traffic, and is published into its slot the
-/// moment it is ready.
+/// The one per-layer build loop. The encoded entry decodes whole before
+/// any layer is published — a missing or failed entry schedules every
+/// layer fresh, bit-identically — then each layer takes or counts its
+/// traffic and is published into its slot the moment it is ready.
 fn build_layers(plan: &BuildPlan, workload: &NetworkWorkload, sync: &PipeSync) {
     let _notify = NotifyOnStop(sync);
-    let last = workload.layers.len().checked_sub(1);
-    let mut decoder = plan.encoded.as_ref().and_then(|(cache, key)| {
+    let loaded = plan.encoded.as_ref().and_then(|(cache, key)| {
         let payload = cache.load(ENCODED_KIND, ENCODER_VERSION, key)?;
         let dims: Vec<_> = workload.layers.iter().map(|l| l.neurons.dim()).collect();
-        LayerDecoder::new(payload, &plan.wanted, &dims)
+        decode_layers(&payload, &plan.wanted, &dims)
     });
+    let hit = loaded.is_some();
+    let mut loaded = loaded.unwrap_or_default().into_iter();
     for (idx, layer) in workload.layers.iter().enumerate() {
         let view = layer.view();
-        let arts = match decoder.as_mut().and_then(LayerDecoder::next_layer) {
-            Some(arts) => arts,
-            None => {
-                decoder = None;
-                build_layer_artifacts(&plan.wanted, &view)
-            }
-        };
+        let arts = loaded.next().unwrap_or_else(|| build_layer_artifacts(&plan.wanted, &view));
         let traffic = match (&plan.preloaded, plan.view) {
             (Some(table), _) => table[idx],
             (None, Some(_)) => count_traffic(&plan.lead, &view),
             (None, None) => AccessCounters::new(),
         };
-        let streamed = decoder.as_ref().is_some_and(LayerDecoder::fully_consumed);
         let (state, cv) = sync;
         let mut g = state.lock().unwrap_or_else(PoisonError::into_inner);
         g.built[idx] = Some((arts, traffic));
-        if Some(idx) == last && plan.encoded.is_some() {
-            // Settled in the same critical section as the final layer:
-            // consumers that saw every layer read the disk's true
-            // answer, never a racing placeholder.
-            g.encoded_outcome = if streamed { CacheOutcome::Hit } else { CacheOutcome::Miss };
+        if hit {
+            g.encoded_outcome = CacheOutcome::Hit;
         }
         drop(g);
         cv.notify_all();
@@ -533,20 +506,19 @@ impl PipelinedBuild {
         self.layer_count
     }
 
-    /// What the encoded store tier contributed: `Hit` when every mask
-    /// buffer and memo streamed off disk, `Miss` when a tier-enabled
-    /// build (re)encoded and `finish` will publish, `Disabled` when the
-    /// tier is off. The probe runs in the build loop, so this settles
-    /// with the final layer: read it after the build completes (all
-    /// layers consumed, or [`PipelinedBuild::finish`] on the assembled
-    /// network's behalf); earlier reads see the tier's configuration
-    /// (`Disabled`/`Miss`), not the disk's answer.
+    /// What the encoded store tier contributed: `Hit` when every table
+    /// decoded off disk, `Miss` when a tier-enabled build scheduled them
+    /// and `finish` will publish, `Disabled` when the tier is off. The
+    /// probe runs in the build loop, so this settles with layer 0: read
+    /// it after consuming a layer (or after the build completes);
+    /// earlier reads see the tier's configuration (`Disabled`/`Miss`),
+    /// not the disk's answer.
     pub fn encoded_outcome(&self) -> CacheOutcome {
         self.lock().encoded_outcome
     }
 
     /// What the traffic store tier contributed at start (that probe is
-    /// cheap — counters, not masks — and stays synchronous): `Hit` when
+    /// cheap — counters, not tables — and stays synchronous): `Hit` when
     /// the table loaded, `Miss` when `finish` will publish a cold
     /// count, `Disabled` when the tier is off or the configuration set
     /// does not share one traffic view.
@@ -589,10 +561,10 @@ impl PipelinedBuild {
     /// Waits for the builder and assembles the completed layers into an
     /// ordinary [`SharedEncodedNetwork`] — the only publish point of
     /// the build: a cold traffic count when the plan missed one, and
-    /// the encoded artifacts unless they streamed off disk intact
-    /// (memo-warm — whatever sims ran against the in-flight build
-    /// filled them in place). A miss creates the entry; a corrupt or
-    /// partial one is repaired.
+    /// the schedule tables unless they decoded off disk. A miss creates
+    /// the entry; a corrupt or truncated one is repaired. The tables are
+    /// whole from the moment they are built, so when this runs never
+    /// changes the bytes it publishes.
     ///
     /// # Panics
     ///
@@ -686,7 +658,7 @@ impl<'a> From<&'a PipelinedBuild> for Artifacts<'a> {
 /// [`ArtifactStore`]'s on-disk tiers (§9, §15) before any encoding is
 /// paid for, and the finished build is pooled by
 /// [`PoolClaim::insert`]. The workload tensor and every
-/// mask/schedule/traffic artifact are handed out as shared [`Arc`]s,
+/// schedule/traffic artifact are handed out as shared [`Arc`]s,
 /// so a hit costs two pointer clones instead of a rebuild.
 ///
 /// The pool is deliberately small (serving traffic concentrates on few
@@ -966,15 +938,13 @@ fn encode_traffic(table: &[AccessCounters]) -> Vec<u8> {
 /// exactly `expected_layers` entries (a geometry change without a key
 /// change would be a bug, but stale bytes must still fail closed).
 fn decode_traffic(payload: &[u8], expected_layers: usize) -> Option<Vec<AccessCounters>> {
-    if payload.len() < 4 {
-        return None;
-    }
-    let n = u32::from_le_bytes(payload[..4].try_into().unwrap()) as usize;
-    if n != expected_layers || payload.len() != 4 + n * 56 {
+    let (count, body) = payload.split_first_chunk::<4>()?;
+    let n = u32::from_le_bytes(*count) as usize;
+    if n != expected_layers || Some(body.len()) != n.checked_mul(56) {
         return None;
     }
     let mut out = Vec::with_capacity(n);
-    let mut vals = payload[4..].chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap()));
+    let mut vals = body.as_chunks::<8>().0.iter().map(|&c| u64::from_le_bytes(c));
     for _ in 0..n {
         out.push(AccessCounters {
             nm_brick_reads: vals.next()?,
@@ -1095,11 +1065,10 @@ mod tests {
         // PRA-2b and PRA-2b-1R agree on (key, scheduler): same Arc.
         let a = shared.artifacts(0, &configs[0]).0;
         let b = shared.artifacts(0, &configs[1]).0;
-        assert!(Arc::ptr_eq(&a, &b), "equal scheduler configs must share the memo");
-        // PRA-4b differs in L but shares the mask buffer.
+        assert!(Arc::ptr_eq(&a, &b), "equal scheduler configs must share the table");
+        // PRA-4b differs in L: its own table.
         let c = shared.artifacts(0, &configs[2]).0;
         assert!(!Arc::ptr_eq(&a, &c));
-        assert!(Arc::ptr_eq(a.encoded_arc(), c.encoded_arc()), "same key must share masks");
     }
 
     #[test]
@@ -1109,10 +1078,15 @@ mod tests {
             ..PraConfig::two_stage(2, Representation::Fixed16)
         };
         let one = PraConfig::two_stage(2, Representation::Fixed16);
-        let shared = SharedEncodedNetwork::from_workload(&[one, csd], &one_layer());
+        let four = PraConfig::single_stage(Representation::Fixed16);
+        let shared = SharedEncodedNetwork::from_workload(&[one, csd, four], &one_layer());
         let a = shared.artifacts(0, &one).0;
         let b = shared.artifacts(0, &csd).0;
-        assert!(!Arc::ptr_eq(a.encoded_arc(), b.encoded_arc()));
+        assert!(!Arc::ptr_eq(&a, &b));
+        // The build lists pairs grouped by key, so each key's masks are
+        // encoded once per brick.
+        let pair = |c: PraConfig| (c.encoding_key(), c.scheduler());
+        assert_eq!(wanted_pairs(&[one, csd, four, one]), [pair(one), pair(four), pair(csd)]);
     }
 
     #[test]
@@ -1205,8 +1179,8 @@ mod tests {
             PraConfig::single_stage(Representation::Fixed16),
             PraConfig::per_column(1, Representation::Fixed16),
         ];
-        // Cold: the build misses, the sims warm the memos in flight,
-        // and `finish` publishes them.
+        // Cold: the build misses, the sims run against it in flight, and
+        // `finish` publishes its tables.
         let cold = SharedEncodedNetwork::start_pipelined(&configs, &workload, 0xE, &store);
         let cold_results = run_all(&configs, &workload, (&cold).into());
         assert_eq!(cold.encoded_outcome(), CacheOutcome::Miss);
@@ -1217,15 +1191,15 @@ mod tests {
         // The loaded artifacts reconstruct the sharing invariant …
         let a = warm.artifacts(0, &configs[0]).0;
         let b = warm.artifacts(0, &configs[2]).0;
-        assert!(Arc::ptr_eq(&a, &b), "equal scheduler configs must share the memo after a load");
-        let c = warm.artifacts(0, &configs[1]).0;
-        assert!(Arc::ptr_eq(a.encoded_arc(), c.encoded_arc()), "same key must share masks");
-        // … carry the memos the cold sims warmed …
-        assert_eq!(
-            a.memo_snapshot(),
-            cold.artifacts(0, &configs[0]).0.memo_snapshot(),
-            "the published entry must carry the warm memos"
-        );
+        assert!(Arc::ptr_eq(&a, &b), "equal scheduler configs must share the table after a load");
+        // … carry exactly the tables the cold build scheduled …
+        for (idx, cfg) in
+            (0..workload.layers.len()).flat_map(|i| configs.iter().map(move |c| (i, c)))
+        {
+            let (warm, cold) = (warm.artifacts(idx, cfg).0, cold.artifacts(idx, cfg).0);
+            assert_eq!(warm.table(), cold.table(), "layer {idx} {}", cfg.label());
+            assert_eq!(warm.dim(), cold.dim());
+        }
         // … and produce bit-identical results.
         assert_eq!(
             run_all(&configs, &workload, (&warm).into()),
@@ -1247,8 +1221,8 @@ mod tests {
         let configs = [PraConfig::two_stage(2, Representation::Fixed16)];
         let pipe = SharedEncodedNetwork::start_pipelined(&configs, &workload, 0xE, &store);
         let cold = pipe.finish(&store);
-        // finish() published even with cold memos: the entry is valid,
-        // its memo slots simply stay lazy.
+        // finish() published before any simulation ran: the tables are
+        // whole from the moment they are built.
         let (warm, out) =
             SharedEncodedNetwork::from_workload_stored(&configs, &workload, 0xE, &store);
         assert_eq!(out.encoded, CacheOutcome::Hit, "finish must have published");
@@ -1268,30 +1242,23 @@ mod tests {
     }
 
     #[test]
-    fn a_stream_cut_inside_layer_one_falls_back_and_repairs() {
-        let (dir, store) = scratch_store("midstream", &[ArtifactKind::Encoded]);
+    fn a_cut_entry_is_a_whole_miss_and_repairs() {
+        let (dir, store) = scratch_store("cut", &[ArtifactKind::Encoded]);
         let workload = Arc::new(toy_workload());
         let configs = [
             PraConfig::two_stage(2, Representation::Fixed16),
             PraConfig::single_stage(Representation::Fixed16),
         ];
         let seed = 0xC7;
-        let expected = run_all(
-            &configs,
-            &workload,
-            (&SharedEncodedNetwork::from_workload(&configs, &workload)).into(),
-        );
+        let diskless = SharedEncodedNetwork::from_workload(&configs, &workload);
+        let expected = run_all(&configs, &workload, (&diskless).into());
 
-        // A memo-warm build whose payload is then cut 20 bytes into
-        // layer 1 and stored under the real key: the container is valid
-        // (its checksum covers the cut bytes), so only the streaming
-        // decoder can notice.
-        let warm = SharedEncodedNetwork::start_pipelined(&configs, &workload, seed, &store);
-        let _ = run_all(&configs, &workload, (&warm).into());
-        let warm = warm.finish(&store);
+        // The whole payload cut 20 bytes into layer 1 and stored under
+        // the real key: the container is valid (its checksum covers the
+        // cut bytes), so only the payload decoder can notice.
         let wanted = wanted_pairs(&configs);
-        let payload = encode_layers(&warm.layers, &wanted);
-        let layer_one_starts = encode_layers(&warm.layers[..1], &wanted).len();
+        let payload = encode_layers(&diskless.layers, &wanted);
+        let layer_one_starts = encode_layers(&diskless.layers[..1], &wanted).len();
         assert!(payload.len() > layer_one_starts + 20, "the toy layer is larger than the cut");
         let cache = store.cache_for(ArtifactKind::Encoded).expect("tier enabled");
         let key = encoded_key(&workload, seed, &wanted);
@@ -1299,20 +1266,140 @@ mod tests {
             .store(ENCODED_KIND, ENCODER_VERSION, &key, &payload[..layer_one_starts + 20])
             .expect("plant the cut entry");
 
-        let unset = |s: &LayerScheduler| s.memo_snapshot().iter().all(|&m| m == u64::MAX);
+        // Layer 0 is intact on disk, but the entry is one unit: a miss,
+        // and every layer is scheduled fresh.
         let pipe = SharedEncodedNetwork::start_pipelined(&configs, &workload, seed, &store);
-        let (layer0, _) = pipe.artifacts(0, &configs[0]);
-        assert!(!unset(&layer0), "layer 0 must stream off disk with its warm memo");
-        let (layer1, _) = pipe.artifacts(1, &configs[0]);
-        assert!(unset(&layer1), "layer 1 must be re-encoded fresh after the cut");
-        assert_eq!(pipe.encoded_outcome(), CacheOutcome::Miss, "a cut stream is not a hit");
         assert_eq!(run_all(&configs, &workload, (&pipe).into()), expected);
+        assert_eq!(pipe.encoded_outcome(), CacheOutcome::Miss, "a cut entry is not a hit");
         let _ = pipe.finish(&store);
 
-        // `finish` republished a whole entry: the next start streams it.
+        // `finish` republished a whole entry: the next start hits it.
         let pipe = SharedEncodedNetwork::start_pipelined(&configs, &workload, seed, &store);
         assert_eq!(run_all(&configs, &workload, (&pipe).into()), expected);
         assert_eq!(pipe.encoded_outcome(), CacheOutcome::Hit, "the repaired entry must load");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Feeds `decode` seeded mutations of `payload` and returns how many
+    /// ran: every truncation, then `random` draws of bit flips, splices,
+    /// inflated `u32` fields (counts and dims, at the byte offsets in
+    /// `fields`) and trailing bytes. A mutation that changes the length
+    /// or inflates a field is structural and must decode to `None`; a
+    /// same-length one need only not panic.
+    fn fuzz_decoder<T>(
+        name: &str,
+        payload: &[u8],
+        fields: &[usize],
+        random: usize,
+        decode: impl Fn(&[u8]) -> Option<T>,
+    ) -> usize {
+        use proptest::prelude::*;
+        let mut rng = proptest::new_rng(name);
+        let len = payload.len();
+        let check = |bytes: &[u8], structural: bool, what: &str| {
+            let decoded = decode(bytes);
+            assert!(!structural || decoded.is_none(), "{name}: {what} must fail closed");
+        };
+        for cut in 0..len {
+            check(&payload[..cut], true, "a truncation");
+        }
+        let draw = (0u8..4, 0..len, 0..=len, 0..=len, 0..=len, any::<u64>());
+        for _ in 0..random {
+            let (kind, at, a, b, c, bits) = draw.sample(&mut rng);
+            let mut m = payload.to_vec();
+            match kind {
+                0 => {
+                    m[at] ^= 1 << (bits % 8);
+                    check(&m, false, "a bit flip");
+                }
+                1 => {
+                    let (from, to) = (a.min(b), a.max(b));
+                    let m = [&payload[..at], &payload[from..to], &payload[c.max(at)..]].concat();
+                    check(&m, m.len() != len, "a splice");
+                }
+                2 => {
+                    let f = fields[at % fields.len()];
+                    let v = u32::from_le_bytes(m[f..f + 4].try_into().unwrap());
+                    m[f..f + 4].copy_from_slice(&(v + 1 + (bits % 4096) as u32).to_le_bytes());
+                    check(&m, true, "an inflated field");
+                }
+                _ => {
+                    m.extend(bits.to_le_bytes().iter().cycle().take(1 + at % 64));
+                    check(&m, true, "trailing bytes");
+                }
+            }
+        }
+        len + random
+    }
+
+    #[test]
+    fn decoders_fail_closed_under_seeded_mutations() {
+        let workload = toy_workload();
+        let configs = [
+            PraConfig::two_stage(2, Representation::Fixed16),
+            PraConfig::single_stage(Representation::Fixed16),
+        ];
+        let built = SharedEncodedNetwork::from_workload(&configs, &workload);
+        let wanted = wanted_pairs(&configs);
+        let dims: Vec<_> = workload.layers.iter().map(|l| l.neurons.dim()).collect();
+        let payload = encode_layers(&built.layers, &wanted);
+        assert!(crate::artifact::decode_layers(&payload, &wanted, &dims).is_some());
+        // Counts, then each layer's dims: after the 8-byte counts and 5
+        // bytes per pair, a layer is 12 bytes of dims plus its tables.
+        let header = 8 + 5 * wanted.len();
+        let layer_len = (payload.len() - header) / dims.len();
+        let mut fields = vec![0, 4];
+        for l in 0..dims.len() {
+            fields.extend([0, 4, 8].map(|d| header + l * layer_len + d));
+        }
+        let started = std::time::Instant::now();
+        let en = fuzz_decoder("en", &payload, &fields, 10_000, |m| {
+            crate::artifact::decode_layers(m, &wanted, &dims)
+        });
+        let table = encode_traffic(&built.traffic);
+        let tr = fuzz_decoder("tr", &table, &[0], 10_000, |m| decode_traffic(m, dims.len()));
+        println!("{en} en and {tr} tr mutations in {:?}", started.elapsed());
+        assert!(en >= 10_000 && tr >= 10_000);
+    }
+
+    #[test]
+    fn planted_structural_mutations_fall_back_to_a_diskless_build() {
+        let (dir, store) = scratch_store("planted", &[ArtifactKind::Encoded]);
+        let workload = toy_workload();
+        let configs = [
+            PraConfig::two_stage(2, Representation::Fixed16),
+            PraConfig::per_column(1, Representation::Fixed16),
+        ];
+        let diskless = SharedEncodedNetwork::from_workload(&configs, &workload);
+        let expected = run_all(&configs, &workload, (&diskless).into());
+        let wanted = wanted_pairs(&configs);
+        let payload = encode_layers(&diskless.layers, &wanted);
+        let inflated = |at: usize| {
+            let mut m = payload.clone();
+            m[at] = m[at].wrapping_add(1);
+            m
+        };
+        let header = 8 + 5 * wanted.len();
+        let mut impossible = payload.clone();
+        impossible[header + 12 + 3] = 0xFF; // layer 0's first entry: cycles ≥ 0xFF00
+        let planted = [
+            payload[..payload.len() / 2].to_vec(),
+            [payload.as_slice(), &[0]].concat(),
+            [&payload[..header], &payload[header + 4..]].concat(),
+            inflated(0),
+            inflated(4),
+            inflated(header + 8),
+            impossible,
+        ];
+        let cache = store.cache_for(ArtifactKind::Encoded).expect("tier enabled");
+        let key = encoded_key(&workload, 0xD, &wanted);
+        for (n, mutant) in planted.iter().enumerate() {
+            cache.store(ENCODED_KIND, ENCODER_VERSION, &key, mutant).expect("plant the mutant");
+            let (built, out) =
+                SharedEncodedNetwork::from_workload_stored(&configs, &workload, 0xD, &store);
+            assert_eq!(out.encoded, CacheOutcome::Miss, "mutant {n} must fail closed");
+            assert_eq!(run_all(&configs, &workload, (&built).into()), expected, "mutant {n}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -6,19 +6,19 @@
 //! synchronization policy. Tiles are identical by construction (§V-A3), so
 //! one tile is simulated and the filter-group count scales the result.
 //!
-//! The hot path is the layer-scoped pipeline of [`crate::schedule`]:
-//! neurons are trimmed and encoded once per layer, each unique input brick
-//! is scheduled once and memoized (overlapping convolution windows reuse
-//! the entry instead of re-scheduling — a K×K-fold saving), and pallets
+//! The hot path reads the layer's dense schedule table
+//! ([`crate::schedule`]): every in-grid input brick is scheduled once, up
+//! front, and each brick visit is a load (overlapping convolution windows
+//! reuse the entry instead of re-scheduling — a K×K-fold saving). Pallets
 //! fan out across the thread pool with an order-preserving reduction, so
 //! a single-layer request scales across cores.
 //!
 //! Entry points: [`run_shared`] is the one network runner — every
 //! design point of a workload simulates against one
 //! [`crate::SharedEncodedNetwork`] (or a build still in flight).
-//! [`simulate_layer_shared`] simulates one layer against a scheduler;
-//! [`simulate_layer`] is its one-layer convenience over a fresh, unshared
-//! scheduler. The pre-memoization implementation is retained as
+//! [`simulate_layer_shared`] simulates one layer against a schedule
+//! table; [`simulate_layer`] is its one-layer convenience over a fresh,
+//! unshared table. The per-fetch implementation is retained as
 //! [`simulate_layer_raw`], the cycle-for-cycle oracle that tests and the
 //! `micro` bench compare against.
 
@@ -147,9 +147,9 @@ fn select_pallets(cfg: &PraConfig, spec: &ConvLayerSpec) -> (Vec<PalletRef>, u64
     }
 }
 
-/// Simulates a slice of pallets against the shared layer scheduler. The
+/// Simulates a slice of pallets against the shared schedule table. The
 /// step-indexed buffers are sized once per call; the loop body itself
-/// performs no heap allocation — brick schedules come from the memo, NM
+/// performs no heap allocation — brick schedules come from the table, NM
 /// fetch rows are a closed form, and per-column sync is a per-step
 /// recurrence.
 fn simulate_pallets(
@@ -221,7 +221,7 @@ impl SyncBuffers {
 
 /// Scales the accumulated totals from the sampled pallets to the full
 /// layer and derives the traffic counters from the engine-independent
-/// base — shared verbatim by the memoized and raw paths so they stay
+/// base — shared verbatim by the table and raw paths so they stay
 /// cycle-for-cycle identical.
 fn finish_layer(
     cfg: &PraConfig,
@@ -256,7 +256,7 @@ fn finish_layer(
     }
 }
 
-/// The pre-memoization simulator: fetches and schedules every brick once
+/// The per-fetch simulator: fetches and schedules every brick once
 /// per overlapping window, exactly as the hardware's dispatcher would
 /// stream it. Kept as the oracle for the layer-scoped pipeline — results
 /// must be cycle-for-cycle identical to [`simulate_layer`] — and as the
@@ -309,11 +309,11 @@ fn schedule_column(cfg: &PraConfig, layer: &LayerWorkload, brick: &[u16; BRICK])
 /// point, labelled with [`PraConfig::label`], against build-once shared
 /// artifacts — a finished [`SharedEncodedNetwork`] or a
 /// [`PipelinedBuild`] still in flight (see [`Artifacts`]): every layer
-/// borrows its shared scheduler (and, when available, the
-/// engine-independent traffic counters) instead of re-encoding and
-/// re-scheduling per design point. Against an in-flight
-/// build, layer `idx` simulates as soon as the builder has produced it,
-/// so encoding of layer *n + 1* overlaps simulation of layer *n*.
+/// borrows its shared schedule table (and, when available, the
+/// engine-independent traffic counters) instead of re-scheduling per
+/// design point. Against an in-flight build, layer `idx` simulates as
+/// soon as the builder has produced it, so a cold build's scheduling of
+/// layer *n + 1* overlaps simulation of layer *n*.
 /// `on_layer(idx, partial)` fires the moment layer `idx` finishes, with
 /// the run result accumulated so far — the serving tier's v2 streaming
 /// hook (each call becomes one `layer_result` wire frame). Neither the

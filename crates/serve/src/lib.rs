@@ -5,7 +5,7 @@
 //! the throughput-engine framing of the Pragmatic paper — the
 //! accelerator amortizes its encode/schedule work over batched
 //! activation streams, and this crate amortizes the simulator's
-//! equivalents (`SharedEncodedNetwork`, schedule memos, the
+//! equivalents (`SharedEncodedNetwork`, schedule tables, the
 //! content-addressed workload cache) over batched requests.
 //!
 //! The pipeline is **queue → coalesce → shared-artifact batch →
@@ -24,7 +24,7 @@
 //!   engine simulated exactly once, per-request latency split
 //!   (enqueue / batch-wait / sim / total); protocol-v2 requests
 //!   stream per-layer progress frames, overlapping layer *n+1*'s
-//!   encoding with layer *n*'s simulation (DESIGN.md §14);
+//!   scheduling with layer *n*'s simulation (DESIGN.md §14);
 //! * [`server`] — the event-driven JSON-lines TCP front end
 //!   (`pra serve`): one thread multiplexing every connection over
 //!   nonblocking sockets, a bounded connection cap, and `stats` /

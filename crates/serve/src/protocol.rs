@@ -276,8 +276,8 @@ impl Engine {
     }
 
     /// The mask-encoding slice this engine's artifacts depend on. The
-    /// value-blind baselines have no mask buffer of their own, so they
-    /// coalesce with the standard oneffset encoding group.
+    /// value-blind baselines have no schedule table of their own, so
+    /// they coalesce with the standard oneffset encoding group.
     pub fn encoding_key(&self) -> EncodingKey {
         match self {
             Engine::Pra(cfg) => cfg.encoding_key(),

@@ -42,8 +42,8 @@ pub struct ServeConfig {
     /// default: responses are the paper-comparable numbers).
     pub fidelity: Fidelity,
     /// The tiered artifact store batches resolve through (DESIGN.md
-    /// §9, §15): workload streams, traffic tables and encoded
-    /// masks/memos. `ArtifactStore::at_default().no_disk()` regenerates
+    /// §9, §15): workload streams, traffic tables and schedule
+    /// tables. `ArtifactStore::at_default().no_disk()` regenerates
     /// everything per process; results are byte-identical either way.
     pub store: pra_workloads::cache::ArtifactStore,
     /// Per-request deadline, measured from admission. Requests still

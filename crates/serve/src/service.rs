@@ -75,9 +75,10 @@ pub struct ServiceStats {
     /// same for v1 and v2 batches: on a pool miss, workload sourcing,
     /// starting the one pipelined build (key derivation and the
     /// traffic-table probe) and its `finish` (joining the builder,
-    /// publishing missed entries). The encode or entry decode that
-    /// overlaps simulation on the builder thread is not counted, nor is
-    /// time spent waiting on another worker's build of the same key. A
+    /// publishing missed entries). Scheduling the tables, or decoding
+    /// the entry, overlaps simulation on the builder thread and is not
+    /// counted, nor is time spent waiting on another worker's build of
+    /// the same key. A
     /// warm disk store collapses this to the workload load — the CI
     /// `warm-start-smoke` gate pins that collapse.
     pub encode_ms: AtomicU64,
@@ -530,8 +531,8 @@ fn run_batch(
     // same for v1 and v2: a pool hit runs over the pooled network; a
     // miss with PRA work claims the key (a concurrent miss on it waits
     // for this build instead of starting a second one), starts the one
-    // pipelined build (the tiered [`ArtifactStore`] streams a warm
-    // entry off disk instead of re-encoding), runs every PRA engine
+    // pipelined build (the tiered [`ArtifactStore`] decodes a warm
+    // entry's schedule tables instead of re-scheduling), runs every PRA engine
     // against it in flight, and `finish`es and pools it. Baselines-only
     // batches never pay for or wait on an encode — a miss falls back to
     // the bare workload.
@@ -598,11 +599,10 @@ fn run_batch(
     let mut encoded_hit = false;
     let shared = match build {
         Some((claim, build)) => {
-            // The encoded probe settles with the final layer, which the
-            // runs above consumed, so this read is authoritative.
+            // The encoded probe settles with layer 0, which the runs
+            // above consumed, so this read is authoritative.
             encoded_hit = build.encoded_outcome() == CacheOutcome::Hit;
-            // `finish` publishes a missed encoded entry — memo-warm:
-            // the runs above filled the memos in place.
+            // `finish` publishes a missed encoded entry.
             let t = Instant::now();
             let shared = Arc::new(build.finish(&cfg.store));
             build_ms += ms_since(t);

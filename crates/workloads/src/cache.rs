@@ -986,8 +986,8 @@ pub enum ArtifactKind {
     Workload,
     /// Per-layer NM/SB traffic tables (`"tr"`, owned by `pra-core`).
     Traffic,
-    /// Encoded mask buffers + warm schedule memos (`"en"`, owned by
-    /// `pra-core`'s `artifact` module).
+    /// Per-brick schedule tables (`"en"`, owned by `pra-core`'s
+    /// `artifact` module).
     Encoded,
 }
 

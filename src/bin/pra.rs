@@ -305,7 +305,7 @@ fn cmd_cache(args: &[String]) -> Result<(), String> {
     let mut it = args.iter().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--stale" => stale_only = true,
+            "--stale" if sub == Some("clear") => stale_only = true,
             "--kind" => {
                 let v = it.next().ok_or("--kind needs workload | traffic | encoded")?;
                 kind = Some(ArtifactKind::parse(v).ok_or_else(|| {
