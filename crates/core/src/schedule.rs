@@ -37,7 +37,7 @@ const MAX_TERMS: u32 = 16 * 17;
 
 /// One layer's brick schedules under one `(EncodingKey,
 /// SchedulerConfig)` pair: `cycles << 16 | terms` per in-grid brick
-/// (both fit in 16 bits: see [`MAX_CYCLES`] and [`MAX_TERMS`]), laid out
+/// (both fit in 16 bits: cycles ≤ 17, terms ≤ 272), laid out
 /// `(y, brick along i, x)`-major.
 ///
 /// Immutable once built, so [`crate::SharedEncodedNetwork`] shares one
