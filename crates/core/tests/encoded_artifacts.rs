@@ -107,9 +107,9 @@ fn run_all(
 }
 
 /// One build the way the sweep and the serve worker run it: start,
-/// simulate every config against the in-flight build (warming the memos
-/// the entry will carry), then `finish`, which publishes whatever the
-/// start missed. Returns the results and the encoded tier's outcome.
+/// simulate every config against the in-flight build, then `finish`,
+/// which publishes whatever the start missed. Returns the results and
+/// the encoded tier's outcome.
 fn build_and_run(
     cfgs: &[PraConfig],
     workload: &Arc<NetworkWorkload>,
@@ -127,8 +127,7 @@ fn sampled_runs_are_bit_identical_off_a_full_built_entry() {
     let (dir, store) = scratch_store("xfid");
     let workload = Arc::new(toy_workload());
 
-    // Cold Full-fidelity build: miss, simulate (warming the memos the
-    // entry will carry), publish in `finish`.
+    // Cold Full-fidelity build: miss, simulate, publish in `finish`.
     let full = configs(Fidelity::Full);
     let (_, out) = build_and_run(&full, &workload, &store);
     assert_eq!(out, CacheOutcome::Miss, "fresh dir must miss");
@@ -147,7 +146,7 @@ fn sampled_runs_are_bit_identical_off_a_full_built_entry() {
     assert_eq!(
         warm_results,
         run_all(&sampled, &workload, &fresh),
-        "Sampled results must not depend on where the memos came from"
+        "Sampled results must not depend on where the tables came from"
     );
     // The hit published nothing: the entry is the file the Full build
     // wrote, byte for byte.
@@ -173,7 +172,7 @@ fn corrupt_or_truncated_entries_fall_back_bit_identically() {
     // Flip one payload byte, or truncate to a third: the checksum
     // trailer must reject the entry, the build reports a miss, the
     // rebuild matches clean, and `finish` writes back the same bytes
-    // the first publish wrote (encode and memo fill are deterministic).
+    // the first publish wrote (the table build is deterministic).
     let mut flipped = published.clone();
     let mid = flipped.len() / 2;
     flipped[mid] ^= 0x40;
@@ -191,11 +190,17 @@ fn corrupt_or_truncated_entries_fall_back_bit_identically() {
     }
 
     // The inline build fails closed the same way, and its `finish`
-    // repairs the entry too (memo-cold: it publishes before any sim).
+    // repairs the entry too — with the same bytes, although it publishes
+    // before any simulation: the tables are whole once built.
     fs::write(&entry, &flipped).expect("plant corrupted entry");
     let (rebuilt, out) = SharedEncodedNetwork::from_workload_stored(&cfgs, &workload, SEED, &store);
     assert_eq!(out.encoded, CacheOutcome::Miss, "a corrupt entry must fail closed inline");
     assert_eq!(run_all(&cfgs, &workload, &rebuilt), clean, "rebuild must be bit-identical");
+    assert_eq!(
+        fs::read(sole_encoded_entry(&dir)).expect("read repaired entry"),
+        published,
+        "publishing before any simulation must write the same bytes"
+    );
     let (_, out) = SharedEncodedNetwork::from_workload_stored(&cfgs, &workload, SEED, &store);
     assert_eq!(out.encoded, CacheOutcome::Hit, "the inline repair must load");
     let _ = fs::remove_dir_all(&dir);
