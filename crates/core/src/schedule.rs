@@ -138,51 +138,81 @@ mod tests {
     use crate::column::csd_mask;
     use pra_workloads::Representation;
 
-    #[test]
-    fn every_entry_matches_a_per_fetch_schedule_and_padding_is_free() {
-        // Ragged depth: 24 channels = 1.5 bricks.
-        let n = Tensor3::from_fn((5, 4, 24), |x, y, i| ((x * 31 + y * 17 + i * 13) % 1023) as u16);
-        let window = PrecisionWindow::with_width(9, 2);
+    /// Ragged depth: 24 channels = 1.5 bricks.
+    fn neurons() -> Tensor3<u16> {
+        Tensor3::from_fn((5, 4, 24), |x, y, i| ((x * 31 + y * 17 + i * 13) % 1023) as u16)
+    }
+
+    /// Both encodings, trim on and off, each as two design points
+    /// (lookahead 2 and 4) that share one key.
+    fn design_points() -> Vec<(Encoding, bool, [PraConfig; 2])> {
+        let mut points = Vec::new();
         for encoding in [Encoding::Oneffset, Encoding::Csd] {
             for trim in [true, false] {
                 let cfg = |l| PraConfig {
                     encoding,
                     ..PraConfig::two_stage(l, Representation::Fixed16).with_trim(trim)
                 };
-                let (two, four) = (cfg(2), cfg(4));
-                let pairs = [
-                    (two.encoding_key(), two.scheduler()),
-                    (four.encoding_key(), four.scheduler()),
-                ];
-                let tables = LayerScheduler::build(&pairs, window, &n);
-                for ((_, scheduler), table) in pairs.iter().zip(&tables) {
-                    assert_eq!(table.table.len(), 5 * 4 * 2, "one entry per in-grid brick");
-                    let every_brick = (0..4).flat_map(|y| (0..5).map(move |x| (x, y)));
-                    for ((x, y), i) in every_brick.flat_map(|xy| [(xy, 0), (xy, 16)]) {
-                        let masks = n.brick_padded(x, y, i).map(|v| {
-                            let v = if trim { window.trim(v) } else { v };
-                            match encoding {
-                                Encoding::Oneffset => u32::from(v),
-                                Encoding::Csd => csd_mask(v),
-                            }
-                        });
-                        let want = schedule_brick_with(&masks, *scheduler);
-                        assert_eq!(
-                            table.brick_cycles_terms(BrickRef { x, y, i }),
-                            (want.cycles, want.terms),
-                            "{encoding:?} trim {trim} at ({x},{y},{i})"
-                        );
-                    }
-                    for (x, y, i) in [(-1, 0, 0), (0, -1, 0), (5, 0, 0), (0, 4, 0), (0, 0, 32)] {
-                        let b = BrickRef { x, y, i };
-                        assert_eq!(table.brick_cycles_terms(b), (0, 0), "padding at {b:?}");
-                    }
+                points.push((encoding, trim, [cfg(2), cfg(4)]));
+            }
+        }
+        points
+    }
+
+    fn pairs(cfgs: &[PraConfig; 2]) -> Vec<(EncodingKey, SchedulerConfig)> {
+        cfgs.iter().map(|c| (c.encoding_key(), c.scheduler())).collect()
+    }
+
+    #[test]
+    fn encoded_masks_match_per_fetch_encoding() {
+        // Every entry of tables built together equals the schedule of
+        // masks encoded per fetch from `brick_padded`.
+        let n = neurons();
+        let window = PrecisionWindow::with_width(9, 2);
+        for (encoding, trim, cfgs) in design_points() {
+            let pairs = pairs(&cfgs);
+            let tables = LayerScheduler::build(&pairs, window, &n);
+            for ((_, scheduler), table) in pairs.iter().zip(&tables) {
+                assert_eq!(table.table.len(), 5 * 4 * 2, "one entry per in-grid brick");
+                let every_brick = (0..4).flat_map(|y| (0..5).map(move |x| (x, y)));
+                for ((x, y), i) in every_brick.flat_map(|xy| [(xy, 0), (xy, 16)]) {
+                    let masks = n.brick_padded(x, y, i).map(|v| {
+                        let v = if trim { window.trim(v) } else { v };
+                        match encoding {
+                            Encoding::Oneffset => u32::from(v),
+                            Encoding::Csd => csd_mask(v),
+                        }
+                    });
+                    let want = schedule_brick_with(&masks, *scheduler);
+                    assert_eq!(
+                        table.brick_cycles_terms(BrickRef { x, y, i }),
+                        (want.cycles, want.terms),
+                        "{encoding:?} trim {trim} at ({x},{y},{i})"
+                    );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn memo_matches_direct_schedule_and_padding_is_free() {
+        // A design point's own table (what a lazy memo once filled)
+        // equals its entry of the shared build, and padding bricks, past
+        // any edge or the ragged depth, read (0, 0).
+        let n = neurons();
+        let window = PrecisionWindow::with_width(9, 2);
+        for (encoding, trim, cfgs) in design_points() {
+            let tables = LayerScheduler::build(&pairs(&cfgs), window, &n);
+            for (cfg, table) in cfgs.iter().zip(&tables) {
                 assert_eq!(
-                    LayerScheduler::new(&two, window, &n).table,
-                    tables[0].table,
-                    "the one-pair build is the shared build"
+                    LayerScheduler::new(cfg, window, &n).table,
+                    table.table,
+                    "{encoding:?} trim {trim}: the one-pair build is the shared build"
                 );
+                for (x, y, i) in [(-1, 0, 0), (0, -1, 0), (5, 0, 0), (0, 4, 0), (0, 0, 32)] {
+                    let b = BrickRef { x, y, i };
+                    assert_eq!(table.brick_cycles_terms(b), (0, 0), "padding at {b:?}");
+                }
             }
         }
     }
