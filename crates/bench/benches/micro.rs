@@ -1,18 +1,19 @@
 //! Criterion microbenchmarks for the hot kernels: oneffset encoding, CSD
 //! recoding, the column scheduler, the PIP datapath, the reference
 //! convolution, full Pragmatic (per-pallet and per-column sync) and
-//! Stripes layer simulations, and synthetic workload generation (serial
-//! vs parallel row jobs).
+//! Stripes layer simulations — with and without the schedule-table
+//! build — and synthetic workload generation (serial vs parallel row
+//! jobs).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
 use pra_core::column::{schedule_brick, schedule_brick_oracle, schedule_values, SchedulerConfig};
 use pra_core::pip::{pip_cycle, LaneControl};
-use pra_core::PraConfig;
+use pra_core::{LayerScheduler, PraConfig};
 use pra_engines::stripes;
 use pra_fixed::{csd, OneffsetList};
-use pra_sim::ChipConfig;
+use pra_sim::{ChipConfig, Dispatcher, NeuronMemory};
 use pra_tensor::conv::convolve;
 use pra_tensor::{ConvLayerSpec, Tensor3};
 use pra_workloads::generator::generate_synapses;
@@ -131,6 +132,33 @@ fn bench_layers(c: &mut Criterion) {
             BatchSize::LargeInput,
         )
     });
+    // The simulation alone, as `run_shared` calls it: a prebuilt
+    // schedule table and precomputed traffic, so the weighted pass (and,
+    // per column, the pallet walk) is all that is timed.
+    let sched = LayerScheduler::new(&cfg, layer.window, &layer.neurons);
+    let traffic = pra_engines::shared_traffic(
+        &cfg.chip,
+        &spec,
+        &Dispatcher::new(NeuronMemory::new(cfg.nm_layout, cfg.chip.nm_row_neurons(16))),
+    );
+    for (name, sim_cfg) in [
+        ("pra2b_simulate_layer_shared_32x32x64", cfg),
+        (
+            "pra2b1r_simulate_layer_shared_32x32x64",
+            PraConfig::per_column(1, Representation::Fixed16),
+        ),
+    ] {
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                black_box(pra_core::simulate_layer_shared(
+                    black_box(&sim_cfg),
+                    layer.view(),
+                    &sched,
+                    Some(&traffic),
+                ))
+            })
+        });
+    }
     // Memoized pipeline vs the retained pre-memoization oracle: the gap
     // is the K×K brick-reuse factor plus the encode-once saving.
     c.bench_function("pra2b_simulate_layer_raw_32x32x64", |b| {

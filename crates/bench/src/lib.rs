@@ -29,12 +29,32 @@ pub const SEED: u64 = 0x90AD_57EE_1234_5678;
 /// tables are the paper-comparable numbers with no sampling error. The
 /// escape hatch for constrained machines is `PRA_BENCH_PALLETS=<n>`
 /// (deterministically spaced sampling, converges within a couple of
-/// percent by 64 pallets/layer); `PRA_BENCH_PALLETS=full` spells the
-/// default explicitly.
+/// percent by 64 pallets/layer; `0` samples one pallet, as `pra sweep
+/// --sampled 0` does); `PRA_BENCH_PALLETS=full` spells the default
+/// explicitly. Any other value keeps the default and prints one stderr
+/// line naming the variable.
 pub fn fidelity() -> Fidelity {
-    match std::env::var("PRA_BENCH_PALLETS").ok().as_deref() {
-        None | Some("full") => Fidelity::Full,
-        Some(n) => Fidelity::Sampled { max_pallets: n.parse().unwrap_or(64) },
+    let var = std::env::var("PRA_BENCH_PALLETS").ok();
+    parse_fidelity(var.as_deref()).unwrap_or_else(|| {
+        static WARNED: std::sync::Once = std::sync::Once::new();
+        WARNED.call_once(|| {
+            eprintln!(
+                "PRA_BENCH_PALLETS={:?} is neither `full` nor a pallet count; simulating at full \
+                 fidelity",
+                var.unwrap_or_default()
+            );
+        });
+        Fidelity::Full
+    })
+}
+
+/// Parses a `PRA_BENCH_PALLETS` value: unset or `full` is full fidelity,
+/// a count `n` samples `max(n, 1)` pallets per layer, and anything else
+/// is `None`.
+fn parse_fidelity(value: Option<&str>) -> Option<Fidelity> {
+    match value {
+        None | Some("full") => Some(Fidelity::Full),
+        Some(n) => n.parse().ok().map(|n: usize| Fidelity::Sampled { max_pallets: n.max(1) }),
     }
 }
 
@@ -204,6 +224,23 @@ mod tests {
         assert_eq!(pct(0.127), "12.7%");
         assert_eq!(times(2.591), "2.59x");
         assert_eq!(vs("2.43x", "2.59x"), "2.43x (2.59x)");
+    }
+
+    #[test]
+    fn fidelity_parse_clamps_zero_and_rejects_typos() {
+        let sampled = |n| Some(Fidelity::Sampled { max_pallets: n });
+        assert_eq!(parse_fidelity(None), Some(Fidelity::Full));
+        assert_eq!(parse_fidelity(Some("full")), Some(Fidelity::Full));
+        assert_eq!(parse_fidelity(Some("64")), sampled(64));
+        assert_eq!(parse_fidelity(Some("1")), sampled(1));
+        assert_eq!(
+            parse_fidelity(Some("0")),
+            sampled(1),
+            "0 samples one pallet, as --sampled does"
+        );
+        for typo in ["ful", "Full", "", " 8", "-1", "8x"] {
+            assert_eq!(parse_fidelity(Some(typo)), None, "{typo:?} is not a setting");
+        }
     }
 
     #[test]

@@ -25,9 +25,14 @@
 //!   corruption caught by the container checksum) makes the load answer
 //!   `None` and the caller rebuild every table, bit-identically. The
 //!   decoder never panics on any input.
+//!
+//! The traffic tier's codec (`"tr"` entries, keyed in `crate::shared`)
+//! lives here too, so both decoders of untrusted cache bytes sit under
+//! the same no-panic lint scope.
 
 use std::sync::Arc;
 
+use pra_sim::AccessCounters;
 use pra_tensor::Dim3;
 use pra_workloads::cache::{CacheKey, KeyHasher};
 use pra_workloads::NetworkWorkload;
@@ -199,6 +204,55 @@ pub(crate) fn decode_layers(
         layers.push(SharedLayer { schedulers });
     }
     rest.is_empty().then_some(layers)
+}
+
+/// Serializes a per-layer traffic table: layer count, then the seven
+/// [`AccessCounters`] fields per layer, all `u64` little-endian.
+pub(crate) fn encode_traffic(table: &[AccessCounters]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(4 + table.len() * 56);
+    out.extend_from_slice(&(table.len() as u32).to_le_bytes());
+    for c in table {
+        for v in [
+            c.nm_brick_reads,
+            c.nm_row_activations,
+            c.nm_brick_writes,
+            c.sb_set_reads,
+            c.terms,
+            c.idle_lane_cycles,
+            c.stall_cycles,
+        ] {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+    out
+}
+
+/// Inverse of [`encode_traffic`]; `None` unless the payload holds
+/// exactly `expected_layers` entries (a geometry change without a key
+/// change would be a bug, but stale bytes must still fail closed).
+pub(crate) fn decode_traffic(
+    payload: &[u8],
+    expected_layers: usize,
+) -> Option<Vec<AccessCounters>> {
+    let (count, body) = payload.split_first_chunk::<4>()?;
+    let n = u32::from_le_bytes(*count) as usize;
+    if n != expected_layers || Some(body.len()) != n.checked_mul(56) {
+        return None;
+    }
+    let mut out = Vec::with_capacity(n);
+    let mut vals = body.as_chunks::<8>().0.iter().map(|&c| u64::from_le_bytes(c));
+    for _ in 0..n {
+        out.push(AccessCounters {
+            nm_brick_reads: vals.next()?,
+            nm_row_activations: vals.next()?,
+            nm_brick_writes: vals.next()?,
+            sb_set_reads: vals.next()?,
+            terms: vals.next()?,
+            idle_lane_cycles: vals.next()?,
+            stall_cycles: vals.next()?,
+        });
+    }
+    Some(out)
 }
 
 #[cfg(test)]

@@ -106,6 +106,16 @@ impl LayerScheduler {
         &self.table
     }
 
+    /// The packed entries of input row `y` at channel brick `ib`, one per
+    /// in-grid `x`: a contiguous slice of the `(y, ib, x)`-major table.
+    /// `y` and `ib` must index the grid.
+    #[inline]
+    pub(crate) fn row(&self, y: usize, ib: usize) -> &[u32] {
+        debug_assert!(y < self.dim.y && ib < self.dim.bricks_deep(), "({y}, {ib}) off the grid");
+        let start = (y * self.dim.bricks_deep() + ib) * self.dim.x;
+        &self.table[start..start + self.dim.x]
+    }
+
     /// The `(cycles, terms)` of the column schedule for the brick at `b`.
     /// Padding bricks (out-of-bounds coordinates, spatial or depth) are
     /// all zeros and cost nothing, mirroring `Tensor3::brick_padded`.

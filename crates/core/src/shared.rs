@@ -44,7 +44,10 @@ use pra_sim::{AccessCounters, ChipConfig, Dispatcher, NeuronMemory, NmLayout};
 use pra_workloads::cache::{ArtifactKind, ArtifactStore, Cache, CacheKey, CacheOutcome, KeyHasher};
 use pra_workloads::{LayerView, NetworkWorkload, Representation};
 
-use crate::artifact::{decode_layers, encode_layers, encoded_key, ENCODED_KIND, ENCODER_VERSION};
+use crate::artifact::{
+    decode_layers, decode_traffic, encode_layers, encode_traffic, encoded_key, ENCODED_KIND,
+    ENCODER_VERSION,
+};
 use crate::column::SchedulerConfig;
 use crate::config::{EncodingKey, PraConfig};
 use crate::schedule::LayerScheduler;
@@ -849,7 +852,8 @@ impl Drop for PoolClaim<'_> {
 }
 
 /// Compile-time fingerprint of the traffic-counting pipeline's sources
-/// (this module, `shared_traffic` in pra-engines, the dispatcher/NM
+/// (this module, the `tr` codec in `crate::artifact`, `shared_traffic`
+/// in pra-engines, the dispatcher/NM
 /// model and counters in pra-sim, the pallet geometry in pra-tensor),
 /// mixed into every traffic key: a
 /// counting change that forgets the [`TRAFFIC_VERSION`] bump makes old
@@ -859,8 +863,9 @@ impl Drop for PoolClaim<'_> {
 fn traffic_source_fingerprint() -> u64 {
     static FP: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
     *FP.get_or_init(|| {
-        let sources: [&str; 5] = [
+        let sources: [&str; 6] = [
             include_str!("shared.rs"),
+            include_str!("artifact.rs"),
             include_str!("../../engines/src/lib.rs"),
             include_str!("../../sim/src/dispatcher.rs"),
             include_str!("../../sim/src/neuron_memory.rs"),
@@ -911,52 +916,6 @@ fn traffic_key(
     });
     h.u32(repr.bits());
     h.finish()
-}
-
-/// Serializes a per-layer traffic table: layer count, then the seven
-/// [`AccessCounters`] fields per layer, all `u64` little-endian.
-fn encode_traffic(table: &[AccessCounters]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + table.len() * 56);
-    out.extend_from_slice(&(table.len() as u32).to_le_bytes());
-    for c in table {
-        for v in [
-            c.nm_brick_reads,
-            c.nm_row_activations,
-            c.nm_brick_writes,
-            c.sb_set_reads,
-            c.terms,
-            c.idle_lane_cycles,
-            c.stall_cycles,
-        ] {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-    out
-}
-
-/// Inverse of [`encode_traffic`]; `None` unless the payload holds
-/// exactly `expected_layers` entries (a geometry change without a key
-/// change would be a bug, but stale bytes must still fail closed).
-fn decode_traffic(payload: &[u8], expected_layers: usize) -> Option<Vec<AccessCounters>> {
-    let (count, body) = payload.split_first_chunk::<4>()?;
-    let n = u32::from_le_bytes(*count) as usize;
-    if n != expected_layers || Some(body.len()) != n.checked_mul(56) {
-        return None;
-    }
-    let mut out = Vec::with_capacity(n);
-    let mut vals = body.as_chunks::<8>().0.iter().map(|&c| u64::from_le_bytes(c));
-    for _ in 0..n {
-        out.push(AccessCounters {
-            nm_brick_reads: vals.next()?,
-            nm_row_activations: vals.next()?,
-            nm_brick_writes: vals.next()?,
-            sb_set_reads: vals.next()?,
-            terms: vals.next()?,
-            idle_lane_cycles: vals.next()?,
-            stall_cycles: vals.next()?,
-        });
-    }
-    Some(out)
 }
 
 /// A two-layer toy workload for artifact tests (shared with

@@ -1,17 +1,28 @@
 //! Layer- and network-level Pragmatic simulation.
 //!
-//! For every (filter group × pallet × brick step) the simulator runs the
-//! exact column scheduler over the 16 oneffset lanes of each of the 16
-//! window columns, then combines columns according to the configured
-//! synchronization policy. Tiles are identical by construction (§V-A3), so
-//! one tile is simulated and the filter-group count scales the result.
+//! Each (filter group × pallet × brick step) runs the exact column
+//! scheduler over the 16 oneffset lanes of each of the 16 window columns,
+//! and the columns combine according to the configured synchronization
+//! policy. Tiles are identical by construction (§V-A3), so one tile is
+//! simulated and the filter-group count scales the result.
 //!
-//! The hot path reads the layer's dense schedule table
-//! ([`crate::schedule`]): every in-grid input brick is scheduled once, up
-//! front, and each brick visit is a load (overlapping convolution windows
-//! reuse the entry instead of re-scheduling — a K×K-fold saving). Pallets
-//! fan out across the thread pool with an order-preserving reduction, so
-//! a single-layer request scales across cores.
+//! Neither half is recomputed per visit. Column schedules come from the
+//! layer's dense schedule table ([`crate::schedule`]): every in-grid input
+//! brick is scheduled once, up front, and each brick visit is a load
+//! (overlapping convolution windows reuse the entry — a K×K-fold saving).
+//! And a pallet-step's cost under pallet sync — its slowest column, its
+//! NM fetch rows — depends only on the input row, channel brick, pallet
+//! column and `fx` it reads, not on which window row reaches that input
+//! row. So [`simulate_layer_shared`] costs each distinct step once and
+//! weights it by how many selected pallet-steps read the same bricks
+//! (`pra_tensor::brick::row_visits`): about `Ky / stride` times less
+//! work. Terms, which no sync policy changes, are the same weighted sum
+//! of brick terms under every policy. Per-column sync still walks every
+//! selected pallet, since its recurrence couples the columns step by
+//! step. Both fan out across the thread pool in contiguous chunks — input
+//! rows for the weighted pass, pallets for the walk — with an
+//! order-preserving reduction, so a single-layer request scales across
+//! cores.
 //!
 //! Entry points: [`run_shared`] is the one network runner — every
 //! design point of a workload simulates against one
@@ -22,9 +33,14 @@
 //! [`simulate_layer_raw`], the cycle-for-cycle oracle that tests and the
 //! `micro` bench compare against.
 
+use std::ops::Range;
+
 use pra_engines::shared_traffic;
 use pra_sim::{AccessCounters, Dispatcher, LayerResult, NeuronMemory, RunResult};
-use pra_tensor::brick::{brick_for, brick_steps, fetch_pallet_step, pallets, BrickStep, PalletRef};
+use pra_tensor::brick::{
+    brick_for, brick_steps, column_reads, fetch_pallet_step, in_bounds_lanes, pallets, row_steps,
+    row_visits, BrickStep, PalletRef, RowVisit,
+};
 use pra_tensor::{ConvLayerSpec, BRICK, PALLET};
 use pra_workloads::{LayerView, LayerWorkload, NetworkWorkload};
 use rayon::prelude::*;
@@ -44,12 +60,13 @@ pub fn simulate_layer(cfg: &PraConfig, layer: &LayerWorkload) -> LayerResult {
 }
 
 /// Simulates one borrowed layer against a [`LayerScheduler`] (typically
-/// shared across design points), parallelizing across pallets and
-/// optionally reusing precomputed NM/SB traffic counters. `sched` must
-/// have been built for `cfg`'s encoding key, scheduler parameters and
-/// the layer's window — [`crate::SharedEncodedNetwork`] enforces that
-/// pairing. Results are bit-identical at any thread count: the
-/// reduction is order-preserving and integer sums are associative.
+/// shared across design points), parallelizing across input rows (and,
+/// under per-column sync, pallets) and optionally reusing precomputed
+/// NM/SB traffic counters. `sched` must have been built for `cfg`'s
+/// encoding key, scheduler parameters and the layer's window —
+/// [`crate::SharedEncodedNetwork`] enforces that pairing. Results are
+/// bit-identical at any thread count: the reduction is order-preserving
+/// and integer sums are associative.
 pub fn simulate_layer_shared(
     cfg: &PraConfig,
     layer: LayerView<'_>,
@@ -58,36 +75,50 @@ pub fn simulate_layer_shared(
 ) -> LayerResult {
     let spec = layer.spec;
     let dispatcher = layer_dispatcher(cfg);
-    let steps = brick_steps(spec);
     let (selected, total, sampled) = select_pallets(cfg, spec);
-
-    // Fan out only when each worker gets a meaningful slice: heavily
-    // sampled runs (and tiny layers) stay serial, which avoids paying
-    // thread spawn/join per layer for work that fits one core — and keeps
-    // thread churn down when layer simulation runs nested inside an
-    // already-parallel batch (the sweep driver's jobs).
-    const MIN_PALLETS_PER_WORKER: usize = 8;
-    let workers = rayon::current_num_threads().min(selected.len() / MIN_PALLETS_PER_WORKER).max(1);
-    let totals = if workers > 1 {
-        // Contiguous chunks, mapped in input order and summed in chunk
-        // order: the same deterministic reduction the sweep driver pins
-        // down for its job rows.
-        let chunk = selected.len().div_ceil(workers);
-        let parts: Vec<Totals> = selected
-            .chunks(chunk)
-            .collect::<Vec<_>>()
-            .into_par_iter()
-            .map(|c| simulate_pallets(cfg, spec, sched, &dispatcher, &steps, c))
-            .collect();
-        parts.into_iter().fold(Totals::default(), Totals::add)
+    let visits = row_visits(spec, &selected);
+    let reads = column_reads(spec);
+    let pass = |chunk: &[RowVisit]| weighted_pass(cfg, spec, sched, &dispatcher, &reads, chunk);
+    let totals = if cfg.sync == SyncPolicy::PerPallet {
+        fan_out(&visits, spec.filter.x * spec.input.bricks_deep(), pass)
     } else {
-        simulate_pallets(cfg, spec, sched, &dispatcher, &steps, &selected)
+        // The pass only counts terms here, a small fraction of the walk.
+        let steps = brick_steps(spec);
+        pass(&visits).add(fan_out(&selected, steps.len(), |chunk| {
+            simulate_pallets(cfg, spec, sched, &steps, chunk)
+        }))
     };
     let base = match traffic {
         Some(t) => *t,
         None => shared_traffic(&cfg.chip, spec, &dispatcher),
     };
     finish_layer(cfg, spec, base, totals, total, sampled)
+}
+
+/// Fewest brick steps — distinct ones in the weighted pass, pallet-steps
+/// in the per-column walk — a worker gets. Heavily sampled runs and
+/// small layers stay serial: a worker thread's spawn and join cost more
+/// than a smaller share saves, and nested inside an already-parallel
+/// batch (the sweep driver's jobs) they would only add thread churn.
+const MIN_STEPS_PER_WORKER: usize = 4096;
+
+/// Maps contiguous chunks of `items`, `steps_per_item` brick steps each,
+/// on the thread pool, in input order, and sums them in chunk order: the
+/// same deterministic reduction the sweep driver pins down for its job
+/// rows.
+fn fan_out<T: Sync>(
+    items: &[T],
+    steps_per_item: usize,
+    f: impl Fn(&[T]) -> Totals + Sync,
+) -> Totals {
+    let steps = items.len() * steps_per_item;
+    let workers = rayon::current_num_threads().min(steps / MIN_STEPS_PER_WORKER).max(1);
+    if workers == 1 {
+        return f(items);
+    }
+    let chunks: Vec<&[T]> = items.chunks(items.len().div_ceil(workers)).collect();
+    let parts: Vec<Totals> = chunks.into_par_iter().map(f).collect();
+    parts.into_iter().fold(Totals::default(), Totals::add)
 }
 
 /// Per-run accumulator, combined with an order-preserving fold.
@@ -147,16 +178,85 @@ fn select_pallets(cfg: &PraConfig, spec: &ConvLayerSpec) -> (Vec<PalletRef>, u64
     }
 }
 
-/// Simulates a slice of pallets against the shared schedule table. The
-/// step-indexed buffers are sized once per call; the loop body itself
-/// performs no heap allocation — brick schedules come from the table, NM
-/// fetch rows are a closed form, and per-column sync is a per-step
-/// recurrence.
-fn simulate_pallets(
+/// The weighted pass over the distinct pallet-steps of `visits`
+/// ([`row_visits`]): each visit's work counts `visit.count` times.
+///
+/// * **Terms**, under every policy: the visit's bricks' terms, each
+///   weighted by how many `(lane, fx)` pairs of its pallet column read
+///   it (`reads`, from [`column_reads`]), summed over channel bricks.
+/// * **Cycles and NM stalls**, under pallet sync only: every column
+///   waits for the slowest (§V-A4), so a step costs
+///   `max(colmax, 1, NMC)`, with `colmax` the largest entry over the
+///   in-bounds lanes' slice of the table (the word packs cycles above
+///   terms, so the largest word holds the most cycles) and `NMC` the
+///   step's NM fetch rows. A fully padded step costs 1.
+fn weighted_pass(
     cfg: &PraConfig,
     spec: &ConvLayerSpec,
     sched: &LayerScheduler,
     dispatcher: &Dispatcher,
+    reads: &[(usize, Vec<u64>)],
+    visits: &[RowVisit],
+) -> Totals {
+    let mut t = Totals::default();
+    for v in visits {
+        let y = (v.pallet.wy * spec.stride + v.fy).checked_sub(spec.padding);
+        if let Some(y) = y.filter(|&y| y < spec.input.y) {
+            let (first, weights) = &reads[v.pallet.wx0 / PALLET];
+            let mut terms = 0u64;
+            for ib in 0..spec.input.i.div_ceil(BRICK) {
+                let row = &sched.row(y, ib)[*first..first + weights.len()];
+                terms +=
+                    row.iter().zip(weights).map(|(&e, &n)| u64::from(e & 0xFFFF) * n).sum::<u64>();
+            }
+            t.oneffsets += v.count * terms;
+        }
+        if cfg.sync != SyncPolicy::PerPallet {
+            continue;
+        }
+        let (mut cycles, mut stalls) = (0u64, 0u64);
+        for step in row_steps(spec, v.fy) {
+            let colmax = lane_entries(spec, sched, v.pallet, step).1.fold(0, |m, &e| m.max(e));
+            let compute = u64::from(colmax >> 16).max(1);
+            let cost = compute.max(dispatcher.fetch_cycles(spec, v.pallet, step));
+            cycles += cost;
+            stalls += cost - compute;
+        }
+        t.cycles += v.count * cycles;
+        t.nm_stalls += v.count * stalls;
+    }
+    t
+}
+
+/// The in-bounds lanes of `pallet` at `step` and their packed table
+/// entries, in lane order: lane `l` reads `x0 + l·S`, so the entries are
+/// every `S`-th word of one slice of the `(y, ib, x)`-major table.
+fn lane_entries<'a>(
+    spec: &ConvLayerSpec,
+    sched: &'a LayerScheduler,
+    pallet: PalletRef,
+    step: BrickStep,
+) -> (Range<usize>, impl Iterator<Item = &'a u32>) {
+    let lanes = in_bounds_lanes(spec, pallet, step);
+    let words: &[u32] = if lanes.is_empty() {
+        &[]
+    } else {
+        let b = brick_for(spec, pallet, lanes.start, step);
+        &sched.row(b.y as usize, step.i0 / BRICK)[b.x as usize..]
+    };
+    let n = lanes.len();
+    (lanes, words.iter().step_by(spec.stride).take(n))
+}
+
+/// Per-column sync over a slice of pallets: every pallet is walked step
+/// by step, since the per-set recurrence couples the columns. The
+/// step-indexed buffers are sized once per call; the loop body itself
+/// performs no heap allocation — each pallet-step is one slice of the
+/// schedule table and the sync is a per-step recurrence.
+fn simulate_pallets(
+    cfg: &PraConfig,
+    spec: &ConvLayerSpec,
+    sched: &LayerScheduler,
     steps: &[BrickStep],
     pallets: &[PalletRef],
 ) -> Totals {
@@ -164,15 +264,13 @@ fn simulate_pallets(
     let mut t = Totals::default();
     for pallet in pallets {
         bufs.clear();
-        for step in steps {
+        for &step in steps {
             let mut per_col = [0u32; 16];
-            for (col, slot) in per_col.iter_mut().enumerate().take(pallet.lanes) {
-                let (cycles, terms) =
-                    sched.brick_cycles_terms(brick_for(spec, *pallet, col, *step));
-                *slot = cycles;
-                t.oneffsets += u64::from(terms);
+            let (lanes, entries) = lane_entries(spec, sched, *pallet, step);
+            for (slot, &e) in per_col[lanes].iter_mut().zip(entries) {
+                *slot = e >> 16;
             }
-            bufs.push_step(cfg, per_col, || dispatcher.fetch_cycles(spec, *pallet, *step));
+            bufs.col_cycles.push(per_col);
         }
         t.add_pallet(bufs.sync(cfg, pallet.lanes));
     }
@@ -182,7 +280,8 @@ fn simulate_pallets(
 /// One pallet's step-indexed sync inputs, reused across pallets.
 struct SyncBuffers {
     col_cycles: Vec<[u32; 16]>,
-    /// NM fetch cycles per step; only per-pallet sync reads them.
+    /// NM fetch cycles per step; only per-pallet sync reads them, and
+    /// only the per-fetch oracle syncs per pallet by walking.
     nmc: Vec<u64>,
     /// Per-column sync's scratch (see [`column_sync`]).
     freed: Vec<(u64, usize)>,
@@ -200,13 +299,6 @@ impl SyncBuffers {
     fn clear(&mut self) {
         self.col_cycles.clear();
         self.nmc.clear();
-    }
-
-    fn push_step(&mut self, cfg: &PraConfig, per_col: [u32; 16], nmc: impl FnOnce() -> u64) {
-        self.col_cycles.push(per_col);
-        if cfg.sync == SyncPolicy::PerPallet {
-            self.nmc.push(nmc());
-        }
     }
 
     fn sync(&mut self, cfg: &PraConfig, lanes: usize) -> PalletOutcome {
@@ -279,7 +371,10 @@ pub fn simulate_layer_raw(cfg: &PraConfig, layer: &LayerWorkload) -> LayerResult
                 per_col[col] = sched.cycles;
                 t.oneffsets += u64::from(sched.terms);
             }
-            bufs.push_step(cfg, per_col, || dispatcher.fetch_cycles(spec, *pallet, *step));
+            bufs.col_cycles.push(per_col);
+            if cfg.sync == SyncPolicy::PerPallet {
+                bufs.nmc.push(dispatcher.fetch_cycles(spec, *pallet, *step));
+            }
         }
         t.add_pallet(bufs.sync(cfg, pallet.lanes));
     }

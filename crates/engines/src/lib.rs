@@ -28,29 +28,30 @@ pub mod stripes;
 pub mod zero_skip;
 
 use pra_sim::{AccessCounters, ChipConfig, Dispatcher};
-use pra_tensor::brick::{brick_steps, in_bounds_lanes, pallets};
+use pra_tensor::brick::{in_bounds_lanes, pallets, row_steps, row_visits};
 use pra_tensor::ConvLayerSpec;
 use pra_workloads::Representation;
 
 /// NM/SB traffic for a layer, identical across engines by the scheduling
 /// convention: one synapse-set read per (filter group × pallet × brick
 /// step), neuron bricks fetched once per (pallet × brick step), NM rows
-/// counted by the dispatcher's layout model.
+/// counted by the dispatcher's layout model. Brick reads and NM rows
+/// depend only on what a pallet-step reads, so they are counted once per
+/// distinct pallet-step ([`row_visits`]) and weighted by its visits.
 pub fn shared_traffic(
     cfg: &ChipConfig,
     spec: &ConvLayerSpec,
     dispatcher: &Dispatcher,
 ) -> AccessCounters {
     let fg = cfg.filter_groups(spec.num_filters) as u64;
-    let steps = brick_steps(spec);
     let mut c = AccessCounters::new();
-    for pallet in pallets(spec) {
-        for &step in &steps {
-            c.nm_row_activations += dispatcher.fetch_cycles(spec, pallet, step);
-            c.nm_brick_reads += in_bounds_lanes(spec, pallet, step).len() as u64;
+    for v in row_visits(spec, &pallets(spec)) {
+        for step in row_steps(spec, v.fy) {
+            c.nm_row_activations += v.count * dispatcher.fetch_cycles(spec, v.pallet, step);
+            c.nm_brick_reads += v.count * in_bounds_lanes(spec, v.pallet, step).len() as u64;
         }
     }
-    c.sb_set_reads = spec.pallets() as u64 * steps.len() as u64 * fg;
+    c.sb_set_reads = spec.pallets() as u64 * spec.brick_steps() as u64 * fg;
     // Output bricks written through NBout, once per window group of 16
     // filters.
     c.nm_brick_writes = (spec.windows() * spec.num_filters.div_ceil(cfg.brick)) as u64;

@@ -10,14 +10,18 @@
 //! lanes) and, in principle, by NM fetch latency (§V-A4's `max(NMC, PC)`
 //! rule, which this model applies per brick step).
 //!
-//! Being value-blind, a layer's cost is a fold of `max(p, NMC)` over its
-//! pallet-steps, with no per-lane work: `NMC` is the dispatcher's
+//! Being value-blind, a layer's cost is `max(p, NMC)` summed over its
+//! pallet-steps, with no per-lane work. `NMC` is the dispatcher's
 //! closed-form NM row count (O(1) per pallet-step under the default
-//! pallet-major layout, see `pra_sim::NeuronMemory::pallet_fetch_rows`)
-//! and the step list is built once per layer.
+//! pallet-major layout, see `pra_sim::NeuronMemory::pallet_fetch_rows`),
+//! and it depends only on what a step reads — its input row, pallet
+//! column, `fx` and channel brick — so each distinct pallet-step is
+//! costed once and weighted by how many pallet-steps read the same
+//! bricks (`pra_tensor::brick::row_visits`). A fully padded step costs
+//! `p`.
 
 use pra_sim::{AccessCounters, ChipConfig, Dispatcher, LayerResult, NeuronMemory, RunResult};
-use pra_tensor::brick::{brick_steps, pallets};
+use pra_tensor::brick::{pallets, row_steps, row_visits};
 use pra_workloads::{LayerView, LayerWorkload, Representation};
 
 use crate::shared_traffic;
@@ -49,15 +53,13 @@ pub fn simulate_layer_view(
         Dispatcher::new(NeuronMemory::new(Default::default(), cfg.nm_row_neurons(repr.bits())));
     let fg = cfg.filter_groups(spec.num_filters) as u64;
 
-    let steps = brick_steps(spec);
-    let mut cycles = 0u64;
-    let mut stalls = 0u64;
-    for pallet in pallets(spec) {
-        for &step in &steps {
-            let nmc = dispatcher.fetch_cycles(spec, pallet, step);
+    let (mut cycles, mut stalls) = (0u64, 0u64);
+    for v in row_visits(spec, &pallets(spec)) {
+        for step in row_steps(spec, v.fy) {
+            let nmc = dispatcher.fetch_cycles(spec, v.pallet, step);
             let (cost, stall) = Dispatcher::overlapped_cost(p, nmc);
-            cycles += cost;
-            stalls += stall;
+            cycles += v.count * cost;
+            stalls += v.count * stall;
         }
     }
     cycles *= fg;
