@@ -18,8 +18,8 @@
 //! nothing more. [`LayerScheduler`] is that table, one packed `u32` per
 //! in-grid brick; the build encodes each brick's masks once per key on
 //! the stack and schedules them under every scheduler that shares the
-//! key, so no mask buffer outlives it. A brick visit on the hot path is a
-//! bounds check plus a load.
+//! key, so no mask buffer outlives it. On the hot path a pallet-step's
+//! in-bounds lanes are every `S`-th word of one row slice.
 
 use pra_fixed::{csd, PrecisionWindow};
 use pra_tensor::brick::BrickRef;
@@ -125,8 +125,7 @@ impl LayerScheduler {
         if b.x < 0 || b.y < 0 || b.x as usize >= dim.x || b.y as usize >= dim.y || b.i >= dim.i {
             return (0, 0);
         }
-        let packed =
-            self.table[(b.y as usize * dim.bricks_deep() + b.i / BRICK) * dim.x + b.x as usize];
+        let packed = self.row(b.y as usize, b.i / BRICK)[b.x as usize];
         (packed >> 16, packed & 0xFFFF)
     }
 }

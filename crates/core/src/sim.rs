@@ -204,7 +204,7 @@ fn weighted_pass(
         if let Some(y) = y.filter(|&y| y < spec.input.y) {
             let (first, weights) = &reads[v.pallet.wx0 / PALLET];
             let mut terms = 0u64;
-            for ib in 0..spec.input.i.div_ceil(BRICK) {
+            for ib in 0..spec.input.bricks_deep() {
                 let row = &sched.row(y, ib)[*first..first + weights.len()];
                 terms +=
                     row.iter().zip(weights).map(|(&e, &n)| u64::from(e & 0xFFFF) * n).sum::<u64>();

@@ -114,12 +114,14 @@ fn memoized_equals_raw_for_quant8() {
 
 #[test]
 fn pallet_parallel_equals_serial() {
-    // 64 pallets (64×16 windows, four per row) give the memoized path
-    // up to eight contiguous chunks — several at any thread count ≥ 2 —
-    // so its order-preserving reduction runs for real and must match
-    // the serial oracle bit for bit. CI runs this file at
+    // 64 pallets (64×16 windows, four per row) of 144 brick steps give
+    // per-column sync's walk two contiguous chunks at any thread count
+    // ≥ 2 (a worker gets at least 4,096 pallet-steps), so its
+    // order-preserving reduction runs for real and must match the
+    // serial oracle bit for bit; `weighted_pass.rs` pins the pallet-sync
+    // pass's row chunks the same way. CI runs this file at
     // RAYON_NUM_THREADS = 1, 2 and 8.
-    let spec = ConvLayerSpec::new("wide", (64, 16, 32), (3, 3), 64, 1, 1).unwrap();
+    let spec = ConvLayerSpec::new("wide", (64, 16, 256), (3, 3), 64, 1, 1).unwrap();
     assert_eq!(spec.pallets(), 64);
     let layer = LayerWorkload {
         neurons: Tensor3::from_fn(spec.input, |x, y, i| {

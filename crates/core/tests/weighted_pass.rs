@@ -19,8 +19,8 @@
 //! pallets, all-padding rows, both NM layouts, rows of 16 to 512
 //! neurons (both sides of the NM closed form's `stride · 16 ≤ row`
 //! precondition), and `Full` and `Sampled` fidelity with 1 to more than
-//! the layer's pallets. CI runs this file at `RAYON_NUM_THREADS` 1, 2
-//! and 8.
+//! the layer's pallets. One layer splits into several chunks at 2+
+//! threads; CI runs this file at `RAYON_NUM_THREADS` 1, 2 and 8.
 
 use std::collections::BTreeMap;
 
@@ -195,17 +195,21 @@ fn every_sample_size_equals_the_walk() {
     }
 }
 
-/// 4 pallet columns × 42 input rows = 168 visits: several row chunks at
-/// any thread count of 2 or more (at least 32 visits per worker), so
-/// the order-preserving reduction runs for real.
+/// A layer that splits into several chunks at any thread count of 2 or
+/// more — a worker gets at least 4,096 brick steps — so both
+/// order-preserving reductions run for real: 4 pallet columns × 50
+/// input rows = 200 visits of 3 × 16 distinct steps each (9,600) for
+/// the pass, and 192 pallets of 144 steps (27,648) for the per-column
+/// walk.
 #[test]
 fn row_chunked_pass_equals_the_serial_walk() {
-    let spec = ConvLayerSpec::new("wide", (64, 40, 32), (3, 3), 64, 1, 1).unwrap();
-    assert_eq!(row_visits(&spec, &pallets(&spec)).len(), 4 * 42);
+    let spec = ConvLayerSpec::new("wide", (64, 48, 256), (3, 3), 64, 1, 1).unwrap();
+    assert_eq!(row_visits(&spec, &pallets(&spec)).len() * 3 * 16, 9_600);
+    assert_eq!(spec.pallets() * spec.brick_steps(), 27_648);
     let layer = seeded_layer(spec, 11);
     for sync in [SyncPolicy::PerPallet, SyncPolicy::PerColumn { ssrs: 2 }] {
         let cfg = PraConfig { sync, ..PraConfig::two_stage(2, Representation::Fixed16) };
-        assert_pass_equals_walks(&cfg, &layer, &format!("168 visits, {sync}"));
+        assert_pass_equals_walks(&cfg, &layer, &format!("200 visits, {sync}"));
     }
 }
 
