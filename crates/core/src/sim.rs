@@ -99,13 +99,12 @@ pub fn simulate_layer_shared(
 /// in the per-column walk — a worker gets. Heavily sampled runs and
 /// small layers stay serial: a worker thread's spawn and join cost more
 /// than a smaller share saves, and nested inside an already-parallel
-/// batch (the sweep driver's jobs) they would only add thread churn.
+/// batch (`pra sweep`'s jobs) they would only add thread churn.
 const MIN_STEPS_PER_WORKER: usize = 4096;
 
 /// Maps contiguous chunks of `items`, `steps_per_item` brick steps each,
 /// on the thread pool, in input order, and sums them in chunk order: the
-/// same deterministic reduction the sweep driver pins down for its job
-/// rows.
+/// same deterministic reduction `pra sweep` pins down for its job rows.
 fn fan_out<T: Sync>(
     items: &[T],
     steps_per_item: usize,
