@@ -109,8 +109,8 @@ pub fn run_engines(configs: &[PraConfig], workload: &NetworkWorkload) -> EngineR
     let chip = ChipConfig::dadn();
     let repr = workload.repr;
     let shared = SharedEncodedNetwork::from_workload(configs, workload);
-    let pra = configs.iter().map(|cfg| run_shared(cfg, workload, &shared, |_, _| {})).collect();
     let views = workload.views();
+    let pra = configs.iter().map(|cfg| run_shared(cfg, &views, &shared, |_, _| {})).collect();
     let traffic = shared.traffic_view(&chip, Default::default(), repr);
     EngineRuns {
         dadn: dadn::run_views(&chip, &views, repr, traffic),

@@ -2,11 +2,12 @@
 //! `pra sweep`.
 //!
 //! One *job* is a `(network, representation)` pair, structured around
-//! build-once shared artifacts (DESIGN.md §8): the job generates the
-//! calibrated workload once (parallel row jobs), builds one
+//! build-once shared artifacts (DESIGN.md §8): the job resolves one
 //! [`SharedEncodedNetwork`] covering every PRA design point (one schedule
 //! table per layer and scheduler configuration, one NM/SB traffic
-//! count), and then hands borrowed `LayerView`s plus the shared
+//! count) — off disk when the store holds it, else built over the
+//! calibrated workload, loaded or generated once (parallel row jobs) —
+//! and then hands the neuron-free `LayerView`s plus the shared
 //! artifacts to every engine — nothing is re-encoded or recounted per
 //! design point. Jobs are independent, so the sweep fans them out across
 //! a work-stealing thread pool and collects the per-engine speedup rows
@@ -27,7 +28,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 use rayon::prelude::*;
@@ -35,8 +35,8 @@ use rayon::prelude::*;
 use pra_core::{Fidelity, PraConfig, SharedEncodedNetwork};
 use pra_engines::{dadn, stripes};
 use pra_sim::{geomean, ChipConfig};
-use pra_workloads::cache::ArtifactStore;
-use pra_workloads::{Network, Representation};
+use pra_workloads::cache::{ArtifactStore, CacheOutcome};
+use pra_workloads::{layer_views, Network, Representation};
 
 use crate::report;
 
@@ -105,14 +105,17 @@ pub struct JobTiming {
     pub network: String,
     /// Representation label: `"fp16"` or `"quant8"`.
     pub repr: String,
-    /// Milliseconds generating the calibrated workload (including the
-    /// first-use calibration fit on whichever job triggers it).
+    /// Milliseconds sourcing the workload — reading its `wl` entry or
+    /// generating it (including the first-use calibration fit on
+    /// whichever job triggers it). Only an encoded-tier miss needs a
+    /// workload, so this is 0 when the `en` entry served the job.
     pub gen_ms: f64,
-    /// Milliseconds starting the shared-artifact build: key derivation
-    /// and the traffic-table probe (a cold table is counted on the
-    /// builder). Scheduling the tables cold, or decoding the entry
-    /// warm, runs on the builder thread while Phase 3 simulates and is
-    /// not counted here.
+    /// Milliseconds resolving the shared artifacts, `gen_ms` aside: key
+    /// derivation, the encoded-tier probe — on a hit, the whole decode
+    /// of the schedule tables — and the traffic-table probe; on a miss,
+    /// also starting the pipelined build. Scheduling the tables cold
+    /// runs on the builder thread while Phase 3 simulates and is not
+    /// counted here.
     pub encode_ms: f64,
     /// Milliseconds running every engine against the shared artifacts.
     pub sim_ms: f64,
@@ -122,13 +125,15 @@ pub struct JobTiming {
     /// numbers are comparable *within* a run; cross-run trends should
     /// use [`SweepOutcome::total_wall_ms`].
     pub wall_ms: f64,
-    /// Workload-tier outcome for this job: `"hit"` (loaded from the
-    /// content-addressed store, generation skipped), `"miss"`
-    /// (generated and published) or `"off"` (tier disabled).
+    /// Workload-tier outcome for this job: `"hit"` when the store
+    /// served it — on an encoded-tier hit, no `wl` entry was read and no
+    /// workload exists; otherwise the `wl` entry loaded and generation
+    /// was skipped — `"miss"` (generated and published) or `"off"` (tier
+    /// disabled).
     pub cache: String,
     /// Encoded-artifact-tier outcome (schedule tables): `"hit"`
-    /// (scheduling replaced by a decode), `"miss"` (scheduled fresh,
-    /// published by `finish`) or `"off"`.
+    /// (scheduling and the workload replaced by a decode), `"miss"`
+    /// (scheduled fresh, published by `finish`) or `"off"`.
     pub encoded: String,
     /// Traffic-tier outcome: `"hit"`, `"miss"` or `"off"` (disabled, or
     /// the configuration set does not share one traffic view).
@@ -215,37 +220,37 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepOutcome {
         let ms = |from: Instant| from.elapsed().as_secs_f64() * 1e3;
         let chip = ChipConfig::dadn();
 
-        // Phase 1 — source the workload exactly once: from the
+        // Phases 1 and 2 — resolve the shared artifacts through the
+        // store, encoded tier first (DESIGN.md §15): a warm job decodes
+        // its schedule tables and reads no workload at all. Only an `en`
+        // miss sources the workload, exactly once — from the
         // content-addressed store when a valid entry exists (bit-
         // identical by the round-trip guarantee), regenerated and
-        // published otherwise (parallel row jobs inside; bit-identical
-        // to serial generation).
-        let (workload, cache_outcome) = cfg.store.workload(net, repr, cfg.seed);
-        let gen_ms = ms(start);
-
-        // Phase 2 — start the pipelined shared-artifact build. The
-        // foreground cost here is key derivation plus the (small)
-        // traffic-table probe; the heavy work — scheduling every brick
-        // cold, decoding the persisted tables warm — rides the builder
-        // thread and overlaps Phase 3's lead simulation. A warm sweep's
-        // encode phase is therefore the probe alone: warm runs are
-        // simulation-only (DESIGN.md §15).
-        let encode_start = Instant::now();
+        // published otherwise — and starts the pipelined build over it,
+        // whose table scheduling rides the builder thread and overlaps
+        // Phase 3's lead simulation.
         let configs = pra_configs(repr, cfg.fidelity);
-        let workload = Arc::new(workload);
+        let (mut gen_ms, mut cache_outcome) = (0.0, CacheOutcome::Hit);
+        let source = || {
+            let gen_start = Instant::now();
+            let (workload, outcome) = cfg.store.workload(net, repr, cfg.seed);
+            (gen_ms, cache_outcome) = (ms(gen_start), outcome);
+            workload
+        };
         let build =
-            SharedEncodedNetwork::start_pipelined(&configs, &workload, cfg.seed, &cfg.store);
-        let encode_ms = ms(encode_start);
+            SharedEncodedNetwork::resolve(&configs, net, repr, cfg.seed, &cfg.store, source);
+        let encode_ms = ms(start) - gen_ms;
 
-        // Phase 3 — the lead PRA configuration consumes the build layer
-        // by layer (simulating layer n while a cold build schedules
-        // layer n+1; a warm build hands over every layer once its entry
-        // decoded); the remaining configurations follow over the
-        // then-complete layers.
+        // Phase 3 — every engine runs from the neuron-free layer views.
+        // The lead PRA configuration consumes the build layer by layer
+        // (simulating layer n while a cold build schedules layer n+1; a
+        // warm build is complete already); the remaining configurations
+        // follow over the then-complete layers.
         let sim_start = Instant::now();
+        let views = layer_views(net, repr);
         let pra_results: Vec<pra_sim::RunResult> = configs
             .iter()
-            .map(|pra_cfg| pra_core::run_shared(pra_cfg, &workload, &build, |_, _| {}))
+            .map(|pra_cfg| pra_core::run_shared(pra_cfg, &views, &build, |_, _| {}))
             .collect();
         let pra_ms = ms(sim_start);
 
@@ -256,12 +261,11 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepOutcome {
         let traffic_outcome = build.traffic_outcome();
         let shared = build.finish(&cfg.store);
 
-        // Baseline engines consume borrowed views plus the shared
+        // Baseline engines consume the same views plus the shared
         // traffic; nothing is re-encoded per design point. Their
         // dispatchers use the default NM layout; the checked view hands
         // back counters only if that matches.
         let base_start = Instant::now();
-        let views = workload.views();
         let traffic = shared.traffic_view(&chip, Default::default(), repr);
         let base = dadn::run_views(&chip, &views, repr, traffic);
         let mut rows = Vec::with_capacity(2 + configs.len());
@@ -800,6 +804,39 @@ mod tests {
                 .collect::<Vec<_>>()
         );
         assert_eq!(cold.rows, warm.rows, "cached artifacts must be bit-identical");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Published `wl` entries under `dir`.
+    fn workload_entries(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+        let entries = std::fs::read_dir(dir).expect("the cache dir exists");
+        let paths = entries.map(|e| e.expect("readable entry").path());
+        paths
+            .filter(|p| p.file_name().is_some_and(|n| n.to_string_lossy().starts_with("wl-")))
+            .collect()
+    }
+
+    #[test]
+    fn a_warm_sweep_reads_no_workload() {
+        let dir = scratch_dir("no-wl");
+        let mut cfg = small_config(true);
+        cfg.store = scratch_store(&dir);
+        let cold = run_sweep(&cfg);
+        let published = workload_entries(&dir);
+        assert_eq!(published.len(), cold.jobs, "a cold sweep publishes one wl entry per job");
+        for path in published {
+            std::fs::remove_file(path).expect("delete the wl entry");
+        }
+        // With every `wl` entry gone, a warm job that read or generated
+        // its workload would miss the tier and republish the entry.
+        let warm = run_sweep(&cfg);
+        assert_eq!(warm.rows, cold.rows, "the encoded tier alone reproduces every row");
+        for t in &warm.timings {
+            let tiers = (t.cache.as_str(), t.encoded.as_str(), t.traffic.as_str());
+            assert_eq!(tiers, ("hit", "hit", "hit"), "{}/{}", t.network, t.repr);
+            assert_eq!(t.gen_ms, 0.0, "{}/{} sourced a workload", t.network, t.repr);
+        }
+        assert!(workload_entries(&dir).is_empty(), "no wl entry was read or regenerated");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -14,11 +14,12 @@
 //!   [`crate::Fidelity`]: every build schedules every in-grid brick, and
 //!   a `Sampled` run reads a subset of the bricks a `Full` run reads, so
 //!   one entry serves both.
-//! * **Seed-aware keys** — unlike traffic tables, schedules *do* depend
-//!   on neuron values, so the key absorbs the workload's content address
-//!   (which covers network descriptor, calibration inputs, generator
-//!   version and seed) plus the workload's actual per-layer geometry
-//!   and windows.
+//! * **Seed-aware, neuron-free keys** — unlike traffic tables, schedules
+//!   *do* depend on neuron values, so the key absorbs the workload's
+//!   content address (which covers network descriptor, calibration
+//!   inputs, generator version and seed) plus per-layer geometry and
+//!   windows — never the neurons themselves, so a warm run resolves the
+//!   entry before any workload exists.
 //! * **Whole, fail-closed loads** — the payload decodes as one unit: any
 //!   mismatch (foreign pair set, geometry drift, a short or long
 //!   payload, an impossible table entry, [`ENCODER_VERSION`] drift,
@@ -35,7 +36,7 @@ use std::sync::Arc;
 use pra_sim::AccessCounters;
 use pra_tensor::Dim3;
 use pra_workloads::cache::{CacheKey, KeyHasher};
-use pra_workloads::NetworkWorkload;
+use pra_workloads::{LayerView, Network, Representation};
 
 use crate::column::{ScanOrder, SchedulerConfig};
 use crate::config::{Encoding, EncodingKey};
@@ -91,37 +92,32 @@ fn order_tag(o: ScanOrder) -> u8 {
     }
 }
 
-/// Content-address of a workload's encoded artifacts under `wanted`.
+/// Content-address of a stored build's encoded artifacts under `wanted`:
+/// the workload's identity, `(network, repr, seed)` through
+/// `workload_key` (which covers the network descriptor, profile and
+/// calibration inputs, generator version and seed), plus every layer's
+/// geometry, window and Stripes precision as `layers` describes them.
 ///
-/// The workload's identity enters twice, belt and braces: through its
-/// content address (`workload_key`, which covers the network
-/// descriptor, profile/calibration inputs, generator version and
-/// `seed`) and through the workload's *actual* per-layer geometry,
-/// windows and activation-model parameters — so a hand-built test
-/// workload that reuses a real network's name can never alias the real
-/// network's entry.
+/// For a stored workload, neurons and activation model alike are
+/// functions of `workload_key`'s inputs, so the key needs neither and a
+/// warm run derives it before any workload exists: from
+/// `pra_workloads::layer_views`, which equal a stored workload's own
+/// views. Hashing the geometry keeps a hand-built test workload that
+/// reuses a real network's name off the real network's entry.
 pub(crate) fn encoded_key(
-    workload: &NetworkWorkload,
+    network: Network,
+    repr: Representation,
     seed: u64,
+    layers: &[LayerView<'_>],
     wanted: &[(EncodingKey, SchedulerConfig)],
 ) -> CacheKey {
     let mut h = KeyHasher::new("pra-encoded-v1");
     h.u32(ENCODER_VERSION);
     h.u64(encoder_source_fingerprint());
-    h.str(pra_workloads::cache::workload_key(workload.network, workload.repr, seed).hex());
-    for v in [
-        workload.model.zero_frac,
-        workload.model.sigma,
-        workload.model.suffix_density,
-        workload.model.outlier_prob,
-        workload.model.dense_prob,
-        workload.model.heavy_share,
-    ] {
-        h.f64(v);
-    }
-    h.u64(workload.layers.len() as u64);
-    for layer in &workload.layers {
-        h.conv_spec(&layer.spec);
+    h.str(pra_workloads::cache::workload_key(network, repr, seed).hex());
+    h.u64(layers.len() as u64);
+    for layer in layers {
+        h.conv_spec(layer.spec);
         h.u32(u32::from(layer.window.msb()));
         h.u32(u32::from(layer.window.lsb()));
         h.u32(u32::from(layer.stripes_precision));
@@ -269,19 +265,92 @@ mod tests {
 
     #[test]
     fn keys_separate_pair_sets_seeds_and_versions() {
-        let workload = crate::shared::test_toy_workload();
-        let one = crate::PraConfig::two_stage(2, pra_workloads::Representation::Fixed16);
+        use crate::{PraConfig, SharedEncodedNetwork};
+        use pra_workloads::cache::{ArtifactStore, CacheOutcome};
+        use pra_workloads::{layer_views, NetworkWorkload};
+
+        let toy = crate::shared::test_toy_workload();
+        let key = |w: &NetworkWorkload, seed: u64, wanted: &[_]| {
+            encoded_key(w.network, w.repr, seed, &w.views(), wanted)
+        };
+        let one = PraConfig::two_stage(2, Representation::Fixed16);
+        let single = PraConfig::single_stage(Representation::Fixed16);
         let wanted = [(one.encoding_key(), one.scheduler())];
-        let base = encoded_key(&workload, 7, &wanted);
-        assert_eq!(base, encoded_key(&workload, 7, &wanted), "deterministic");
-        assert_ne!(base, encoded_key(&workload, 8, &wanted), "seed separates");
-        let single = crate::PraConfig::single_stage(pra_workloads::Representation::Fixed16);
+        let base = key(&toy, 7, &wanted);
+        assert_eq!(base, key(&toy, 7, &wanted), "deterministic");
+        assert_ne!(base, key(&toy, 8, &wanted), "seed separates");
         let wider =
             [(one.encoding_key(), one.scheduler()), (single.encoding_key(), single.scheduler())];
-        assert_ne!(base, encoded_key(&workload, 7, &wider), "pair set separates");
+        assert_ne!(base, key(&toy, 7, &wider), "pair set separates");
         // Fidelity must NOT separate: it never reaches the key inputs.
-        let mut fewer_layers = workload.clone();
+        let mut fewer_layers = toy.clone();
         fewer_layers.layers.truncate(1);
-        assert_ne!(base, encoded_key(&fewer_layers, 7, &wanted), "geometry separates");
+        assert_ne!(base, key(&fewer_layers, 7, &wanted), "layer count separates");
+        let mut reshaped = toy.clone();
+        reshaped.layers[1].spec =
+            pra_tensor::ConvLayerSpec::new("toy", (12, 6, 32), (3, 3), 32, 1, 0).unwrap();
+        assert_ne!(base, key(&reshaped, 7, &wanted), "geometry separates");
+        let mut rewindowed = toy.clone();
+        rewindowed.layers[0].window = pra_fixed::PrecisionWindow::with_width(10, 2);
+        assert_ne!(base, key(&rewindowed, 7, &wanted), "windows separate");
+        let mut restriped = toy.clone();
+        restriped.layers[0].stripes_precision = 10;
+        assert_ne!(base, key(&restriped, 7, &wanted), "Stripes precision separates");
+        // The activation model no longer separates: for a stored
+        // workload it is a function of `workload_key`'s inputs.
+        let mut remodeled = toy.clone();
+        remodeled.model.sigma *= 2.0;
+        assert_eq!(base, key(&remodeled, 7, &wanted), "the model is not a key input");
+
+        // A stored AlexNet workload derives exactly the neuron-free
+        // resolve's key; the hand-built toy, which reuses AlexNet's name
+        // with its own geometry, never reads or publishes that entry.
+        let seed = 7;
+        let real = NetworkWorkload::build_with_model(
+            Network::AlexNet,
+            Representation::Fixed16,
+            toy.model,
+            seed,
+        );
+        let views = layer_views(Network::AlexNet, Representation::Fixed16);
+        assert_eq!(real.views(), views, "a stored workload's views are the static ones");
+        let resolved =
+            encoded_key(Network::AlexNet, Representation::Fixed16, seed, &views, &wanted);
+        assert_eq!(key(&real, seed, &wanted), resolved);
+        assert_ne!(key(&toy, seed, &wanted), resolved, "the toy cannot alias the real entry");
+
+        let dir = std::env::temp_dir().join(format!("pra-artifact-alias-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ArtifactStore::new(&dir).tier(pra_workloads::cache::ArtifactKind::Encoded);
+        let entries = || store.cache_for(ArtifactKind::Encoded).unwrap().stats().entries;
+        let configs = [one];
+        let (_, out) = SharedEncodedNetwork::from_workload_stored(&configs, &toy, seed, &store);
+        assert_eq!((out.encoded, entries()), (CacheOutcome::Miss, 1), "the toy publishes its own");
+        let resolve = |sourced: &mut bool| {
+            let build = SharedEncodedNetwork::resolve(
+                &configs,
+                Network::AlexNet,
+                Representation::Fixed16,
+                seed,
+                &store,
+                || {
+                    *sourced = true;
+                    real.clone()
+                },
+            );
+            let outcome = build.encoded_outcome();
+            drop(build.finish(&store));
+            outcome
+        };
+        let mut sourced = false;
+        assert_eq!(resolve(&mut sourced), CacheOutcome::Miss, "the toy's entry is not read");
+        assert!(sourced, "a miss builds over the stored workload");
+        assert_eq!(entries(), 2, "the real build publishes its own entry");
+        let mut sourced = false;
+        assert_eq!(resolve(&mut sourced), CacheOutcome::Hit, "the published entry resolves");
+        assert!(!sourced, "a hit reads no workload");
+        let (_, out) = SharedEncodedNetwork::from_workload_stored(&configs, &toy, seed, &store);
+        assert_eq!((out.encoded, entries()), (CacheOutcome::Hit, 2), "the toy reads its own");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -120,16 +120,11 @@ impl NetworkModel {
                             got: format!("{:?}", acts.dim()),
                         });
                     }
-                    // The cycle model sees the same trimmed stream the
-                    // datapath consumes — borrowed, not cloned: the
-                    // simulator only reads the activations.
-                    let view = LayerView {
-                        spec,
-                        window: *window,
-                        stripes_precision: window.width(),
-                        neurons: &acts,
-                    };
-                    let sched = LayerScheduler::new(cfg, view.window, view.neurons);
+                    // The cycle model schedules the live activations —
+                    // borrowed, not cloned: only the table reads them.
+                    let view =
+                        LayerView { spec, window: *window, stripes_precision: window.width() };
+                    let sched = LayerScheduler::new(cfg, *window, &acts);
                     conv_results.push(simulate_layer_shared(cfg, view, &sched, None));
                     let raw = compute_layer(cfg, spec, &acts, synapses, *window);
                     acts = relu_requantize(&raw, *requant_shift);

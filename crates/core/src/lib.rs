@@ -23,15 +23,16 @@
 //!   `(cycles, terms)` table the simulator's hot path reads.
 //! * [`artifact`] — the persisted encoded-artifact tier: serialization
 //!   of schedule tables into the content-addressed store, keyed over
-//!   encoding inputs, shared across fidelities.
+//!   the workload's identity and static geometry (never its neurons),
+//!   shared across fidelities.
 //! * [`shared`] — build-once artifacts shared across design points:
 //!   one schedule table per ([`EncodingKey`], [`SchedulerConfig`])
 //!   pair, one traffic count per layer (the sweep's cross-config
-//!   reuse).
+//!   reuse), resolved from the store before any workload is read.
 //! * [`sim`] — layer- and network-level simulation producing
 //!   [`pra_sim::RunResult`]s comparable with the baseline engines:
-//!   [`run_shared`] runs a network against one [`SharedEncodedNetwork`]
-//!   per workload, [`simulate_layer_shared`] one layer against a
+//!   [`run_shared`] runs a network's neuron-free layer views against
+//!   one [`SharedEncodedNetwork`], [`simulate_layer_shared`] one layer against a
 //!   scheduler, [`simulate_layer`] one layer unshared, and
 //!   [`simulate_layer_raw`] is the per-fetch oracle.
 //! * [`functional`] — bit-exact computation of layer outputs through the

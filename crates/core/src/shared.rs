@@ -26,23 +26,30 @@
 //! * the NM/SB traffic table (`"tr"` entries) — geometry + chip view
 //!   only, never neuron values, so one entry serves every seed;
 //! * the schedule tables (`"en"` entries, `crate::artifact`) —
-//!   neuron-value dependent, keyed over the workload's content address,
-//!   shared across fidelities.
+//!   neuron-value dependent, keyed over the workload's content address
+//!   and static layer geometry (never the neurons), shared across
+//!   fidelities.
 //!
 //! There is one build: [`SharedEncodedNetwork::start_pipelined`] runs
 //! the per-layer loop on a background thread,
 //! [`SharedEncodedNetwork::from_workload_stored`] runs the same loop
 //! inline, and both end in [`PipelinedBuild::finish`] — the only place
-//! either tier is published. [`ArtifactPool`] sits above it as the
-//! in-memory tier (pool → disk → generate).
+//! either tier is published. [`SharedEncodedNetwork::resolve`] is how a
+//! stored build starts: it probes the `en` tier from `(network, repr,
+//! seed)` alone and reads or generates the workload only when the entry
+//! misses. [`ArtifactPool`] sits above it as the in-memory tier, so
+//! resolution runs pool → `en` → `wl` → generate.
 
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use pra_engines::shared_traffic;
 use pra_sim::{AccessCounters, ChipConfig, Dispatcher, NeuronMemory, NmLayout};
+use pra_tensor::{ConvLayerSpec, Dim3};
 use pra_workloads::cache::{ArtifactKind, ArtifactStore, Cache, CacheKey, CacheOutcome, KeyHasher};
-use pra_workloads::{LayerView, NetworkWorkload, Representation};
+use pra_workloads::{
+    layer_views, LayerView, LayerWorkload, Network, NetworkWorkload, Representation,
+};
 
 use crate::artifact::{
     decode_layers, decode_traffic, encode_layers, encode_traffic, encoded_key, ENCODED_KIND,
@@ -132,14 +139,16 @@ fn wanted_pairs(configs: &[PraConfig]) -> Vec<(EncodingKey, SchedulerConfig)> {
 ///
 /// # Panics
 ///
-/// Panics if the layer has no scheduler for `cfg` — sharing silently
-/// mismatched artifacts would corrupt results.
+/// Panics if `cfg`'s representation is not the one the network was
+/// built in, or if the layer has no scheduler for `cfg` — sharing
+/// silently mismatched artifacts would corrupt results.
 fn select(
     layer: usize,
     (arts, traffic): (&SharedLayer, &AccessCounters),
-    view: Option<TrafficView>,
+    (view, repr): (Option<TrafficView>, Representation),
     cfg: &PraConfig,
 ) -> (Arc<LayerScheduler>, Option<AccessCounters>) {
+    assert_eq!(cfg.repr, repr, "configuration representation must match the workload");
     let pair = (cfg.encoding_key(), cfg.scheduler());
     let sched = arts
         .schedulers
@@ -162,6 +171,8 @@ pub struct SharedEncodedNetwork {
     /// The traffic view every built config shares; `None` when they
     /// disagree — consumers then count their own traffic.
     view: Option<TrafficView>,
+    /// The representation of the workload the network was built over.
+    repr: Representation,
 }
 
 impl SharedEncodedNetwork {
@@ -182,7 +193,9 @@ impl SharedEncodedNetwork {
     /// of scheduling; the traffic tier (`"tr"`) replaces the dispatch
     /// recount. `seed` is the workload's generator seed — it reaches the
     /// encoded key through the workload's content address, since
-    /// schedules (unlike traffic) depend on neuron values.
+    /// schedules (unlike traffic) depend on neuron values. A stored
+    /// workload derives the same key [`SharedEncodedNetwork::resolve`]
+    /// derives without one.
     ///
     /// Either tier falls back bit-identically to a fresh build when
     /// disabled, missing, corrupt, truncated or version-drifted, and
@@ -197,7 +210,8 @@ impl SharedEncodedNetwork {
         seed: u64,
         store: &ArtifactStore,
     ) -> (Self, StoreOutcomes) {
-        let build = PipelinedBuild::plan(configs, workload, seed, store);
+        let (network, repr) = (workload.network, workload.repr);
+        let build = PipelinedBuild::plan(configs, network, repr, &workload.views(), seed, store);
         build_layers(&build.plan, workload, &build.state);
         let outcomes =
             StoreOutcomes { encoded: build.encoded_outcome(), traffic: build.traffic_outcome };
@@ -224,11 +238,42 @@ impl SharedEncodedNetwork {
         seed: u64,
         store: &ArtifactStore,
     ) -> PipelinedBuild {
-        let mut build = PipelinedBuild::plan(configs, workload, seed, store);
-        let (plan, state, workload) =
-            (Arc::clone(&build.plan), Arc::clone(&build.state), Arc::clone(workload));
-        build.launch = Mutex::new(Some(Arc::new(move || build_layers(&plan, &workload, &state))));
-        build
+        let (network, repr) = (workload.network, workload.repr);
+        PipelinedBuild::plan(configs, network, repr, &workload.views(), seed, store)
+            .launching(workload)
+    }
+
+    /// Resolves the stored build of `(network, repr, seed)` under
+    /// `configs` in the order a warm run reads least: the encoded tier
+    /// first, keyed from [`layer_views`] — no workload exists yet — then,
+    /// only when that entry misses, the workload from `source` (the `wl`
+    /// tier or the generator) and the one build over it, pipelined as
+    /// [`SharedEncodedNetwork::start_pipelined`] runs it.
+    ///
+    /// On a hit the returned build is already complete: every table
+    /// decoded off disk, traffic loaded from its tier or counted from
+    /// geometry, `source` never called. Either way the caller simulates
+    /// against the build over [`layer_views`] and `finish`es it, which
+    /// publishes whatever missed. `source` must yield the stored workload
+    /// of `(network, repr, seed)`, whose views equal [`layer_views`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `configs` is empty.
+    pub fn resolve(
+        configs: &[PraConfig],
+        network: Network,
+        repr: Representation,
+        seed: u64,
+        store: &ArtifactStore,
+        source: impl FnOnce() -> NetworkWorkload,
+    ) -> PipelinedBuild {
+        let views = layer_views(network, repr);
+        let build = PipelinedBuild::plan(configs, network, repr, &views, seed, store);
+        match build.plan.load_encoded() {
+            Some(layers) => build.completed(layers, &views),
+            None => build.launching(&Arc::new(source())),
+        }
     }
 
     /// Number of layers the artifacts were built for.
@@ -243,14 +288,15 @@ impl SharedEncodedNetwork {
     ///
     /// # Panics
     ///
-    /// Panics if the network was not built for a configuration with
-    /// `cfg`'s encoding key and scheduler parameters.
+    /// Panics if `cfg`'s representation is not the workload's, or if the
+    /// network was not built for a configuration with `cfg`'s encoding
+    /// key and scheduler parameters.
     pub fn artifacts(
         &self,
         layer: usize,
         cfg: &PraConfig,
     ) -> (Arc<LayerScheduler>, Option<AccessCounters>) {
-        select(layer, (&self.layers[layer], &self.traffic[layer]), self.view, cfg)
+        select(layer, (&self.layers[layer], &self.traffic[layer]), (self.view, self.repr), cfg)
     }
 
     /// All per-layer traffic counters — the slice other engines'
@@ -271,19 +317,19 @@ impl SharedEncodedNetwork {
 
 /// Counts one layer's NM/SB traffic under the lead configuration's
 /// chip view — the per-layer unit of the §VI-A shared-traffic
-/// convention.
-fn count_traffic(lead: &PraConfig, view: &LayerView<'_>) -> AccessCounters {
+/// convention, a function of geometry alone.
+fn count_traffic(lead: &PraConfig, spec: &ConvLayerSpec) -> AccessCounters {
     let nm = NeuronMemory::new(lead.nm_layout, lead.chip.nm_row_neurons(lead.repr.bits()));
-    shared_traffic(&lead.chip, view.spec, &Dispatcher::new(nm))
+    shared_traffic(&lead.chip, spec, &Dispatcher::new(nm))
 }
 
 /// Schedules one layer's tables, one per pair of `wanted`, in one pass
 /// over its neurons.
 fn build_layer_artifacts(
     wanted: &[(EncodingKey, SchedulerConfig)],
-    view: &LayerView<'_>,
+    layer: &LayerWorkload,
 ) -> SharedLayer {
-    let tables = LayerScheduler::build(wanted, view.window, view.neurons);
+    let tables = LayerScheduler::build(wanted, layer.window, &layer.neurons);
     let schedulers = wanted.iter().zip(tables).map(|(&(k, s), t)| (k, s, Arc::new(t))).collect();
     SharedLayer { schedulers }
 }
@@ -294,11 +340,33 @@ struct BuildPlan {
     wanted: Vec<(EncodingKey, SchedulerConfig)>,
     lead: PraConfig,
     view: Option<TrafficView>,
+    repr: Representation,
+    /// Every layer's input geometry, as the encoded entry stores it.
+    dims: Vec<Dim3>,
     /// The encoded tier's cache and this build's key in it; `None` when
     /// the tier is off.
     encoded: Option<(Cache, CacheKey)>,
     /// The traffic table the plan loaded, when the traffic tier hit.
     preloaded: Option<Vec<AccessCounters>>,
+}
+
+impl BuildPlan {
+    /// The whole encoded entry, or `None` when the tier is off, the
+    /// entry is missing, or it fails to decode as one unit.
+    fn load_encoded(&self) -> Option<Vec<SharedLayer>> {
+        let (cache, key) = self.encoded.as_ref()?;
+        decode_layers(&cache.load(ENCODED_KIND, ENCODER_VERSION, key)?, &self.wanted, &self.dims)
+    }
+
+    /// Layer `idx`'s traffic: the loaded table's entry, else a count from
+    /// its geometry, or zeros when the configurations share no view.
+    fn layer_traffic(&self, idx: usize, spec: &ConvLayerSpec) -> AccessCounters {
+        match (&self.preloaded, self.view) {
+            (Some(table), _) => table[idx],
+            (None, Some(_)) => count_traffic(&self.lead, spec),
+            (None, None) => AccessCounters::new(),
+        }
+    }
 }
 
 /// Layer slots the build loop fills in index order.
@@ -339,21 +407,12 @@ impl Drop for NotifyOnStop<'_> {
 /// traffic and is published into its slot the moment it is ready.
 fn build_layers(plan: &BuildPlan, workload: &NetworkWorkload, sync: &PipeSync) {
     let _notify = NotifyOnStop(sync);
-    let loaded = plan.encoded.as_ref().and_then(|(cache, key)| {
-        let payload = cache.load(ENCODED_KIND, ENCODER_VERSION, key)?;
-        let dims: Vec<_> = workload.layers.iter().map(|l| l.neurons.dim()).collect();
-        decode_layers(&payload, &plan.wanted, &dims)
-    });
+    let loaded = plan.load_encoded();
     let hit = loaded.is_some();
     let mut loaded = loaded.unwrap_or_default().into_iter();
     for (idx, layer) in workload.layers.iter().enumerate() {
-        let view = layer.view();
-        let arts = loaded.next().unwrap_or_else(|| build_layer_artifacts(&plan.wanted, &view));
-        let traffic = match (&plan.preloaded, plan.view) {
-            (Some(table), _) => table[idx],
-            (None, Some(_)) => count_traffic(&plan.lead, &view),
-            (None, None) => AccessCounters::new(),
-        };
+        let arts = loaded.next().unwrap_or_else(|| build_layer_artifacts(&plan.wanted, layer));
+        let traffic = plan.layer_traffic(idx, &layer.spec);
         let (state, cv) = sync;
         let mut g = state.lock().unwrap_or_else(PoisonError::into_inner);
         g.built[idx] = Some((arts, traffic));
@@ -433,14 +492,18 @@ fn run_on_builder(job: BuildJob) -> std::io::Result<()> {
 }
 
 impl PipelinedBuild {
-    /// Plans a build of `workload` under `configs`: derives the encoded
-    /// key (cheap — it hashes generation inputs, not tensors) and probes
-    /// the traffic tier. Nothing is built and nothing launches; the
-    /// caller runs [`build_layers`] inline or installs a pending
-    /// launch.
+    /// Plans a build of the network `layers` describe — the stored
+    /// `(network, repr)` at `seed` — under `configs`: derives the
+    /// encoded key (cheap — it hashes generation inputs and geometry,
+    /// not tensors) and probes the traffic tier. Nothing is built and
+    /// nothing launches; the caller runs [`build_layers`] inline,
+    /// installs a pending launch, or completes the build from a whole
+    /// encoded entry.
     fn plan(
         configs: &[PraConfig],
-        workload: &NetworkWorkload,
+        network: Network,
+        repr: Representation,
+        layers: &[LayerView<'_>],
         seed: u64,
         store: &ArtifactStore,
     ) -> Self {
@@ -448,21 +511,17 @@ impl PipelinedBuild {
         let wanted = wanted_pairs(configs);
         let lead = configs[0];
         let view = shared_view(configs);
-        let layer_count = workload.layers.len();
+        let layer_count = layers.len();
+        let dims = layers.iter().map(|v| v.spec.input).collect();
         let encoded = store
             .cache_for(ArtifactKind::Encoded)
-            .map(|cache| (cache.clone(), encoded_key(workload, seed, &wanted)));
+            .map(|cache| (cache.clone(), encoded_key(network, repr, seed, layers, &wanted)));
         let traffic_cache = store.cache_for(ArtifactKind::Traffic).filter(|_| view.is_some());
         let (traffic_miss, preloaded, traffic_outcome) = match traffic_cache {
             None => (None, None, CacheOutcome::Disabled),
             Some(cache) => {
-                let key = traffic_key(
-                    workload.network.name(),
-                    &workload.views(),
-                    &lead.chip,
-                    lead.nm_layout,
-                    lead.repr,
-                );
+                let key =
+                    traffic_key(network.name(), layers, &lead.chip, lead.nm_layout, lead.repr);
                 match cache
                     .load(TRAFFIC_KIND, TRAFFIC_VERSION, &key)
                     .and_then(|payload| decode_traffic(&payload, layer_count))
@@ -484,11 +543,29 @@ impl PipelinedBuild {
                 Condvar::new(),
             )),
             launch: Mutex::new(None),
-            plan: Arc::new(BuildPlan { wanted, lead, view, encoded, preloaded }),
+            plan: Arc::new(BuildPlan { wanted, lead, view, repr, dims, encoded, preloaded }),
             layer_count,
             traffic_miss,
             traffic_outcome,
         }
+    }
+
+    /// Installs the pending launch of the build loop over `workload`.
+    fn launching(mut self, workload: &Arc<NetworkWorkload>) -> Self {
+        let (plan, state, workload) =
+            (Arc::clone(&self.plan), Arc::clone(&self.state), Arc::clone(workload));
+        self.launch = Mutex::new(Some(Arc::new(move || build_layers(&plan, &workload, &state))));
+        self
+    }
+
+    /// The build completed from a whole encoded entry: every slot holds
+    /// its decoded tables and its traffic, the outcome is `Hit`, and
+    /// nothing launches.
+    fn completed(self, layers: Vec<SharedLayer>, views: &[LayerView<'_>]) -> Self {
+        let traffic = views.iter().enumerate().map(|(idx, v)| self.plan.layer_traffic(idx, v.spec));
+        let built = layers.into_iter().zip(traffic).map(Some).collect();
+        *self.lock() = PipeState { built, finished: true, encoded_outcome: CacheOutcome::Hit };
+        self
     }
 
     /// Launches the builder if no consumer has yet; on thread
@@ -551,7 +628,7 @@ impl PipelinedBuild {
         let mut g = self.lock();
         loop {
             if let Some((arts, traffic)) = g.built.get(layer).and_then(Option::as_ref) {
-                return select(layer, (arts, traffic), self.plan.view, cfg);
+                return select(layer, (arts, traffic), (self.plan.view, self.plan.repr), cfg);
             }
             assert!(
                 !g.finished,
@@ -596,7 +673,7 @@ impl PipelinedBuild {
             let payload = encode_layers(&layers, &self.plan.wanted);
             let _ = cache.store(ENCODED_KIND, ENCODER_VERSION, key, &payload);
         }
-        SharedEncodedNetwork { layers, traffic, view: self.plan.view }
+        SharedEncodedNetwork { layers, traffic, view: self.plan.view, repr: self.plan.repr }
     }
 }
 
@@ -655,22 +732,22 @@ impl<'a> From<&'a PipelinedBuild> for Artifacts<'a> {
 /// artifacts, keyed by workload identity (network, representation,
 /// seed) plus the exact design-point set — the *batch-to-batch* reuse
 /// layer of the serving path (DESIGN.md §10), and the top tier of the
-/// pool → disk → generate resolution order: a miss in
+/// pool → `en` → `wl` → generate resolution order: a miss in
 /// [`ArtifactPool::claim`] falls through to
-/// [`SharedEncodedNetwork::start_pipelined`], which consults the
-/// [`ArtifactStore`]'s on-disk tiers (§9, §15) before any encoding is
-/// paid for, and the finished build is pooled by
-/// [`PoolClaim::insert`]. The workload tensor and every
-/// schedule/traffic artifact are handed out as shared [`Arc`]s,
-/// so a hit costs two pointer clones instead of a rebuild.
+/// [`SharedEncodedNetwork::resolve`], which consults the
+/// [`ArtifactStore`]'s on-disk tiers (§9, §15) before any workload is
+/// read or any encoding is paid for, and the finished build is pooled
+/// by [`PoolClaim::insert`]. An entry holds the schedule tables and
+/// traffic, never neurons — runs read the static layer descriptions —
+/// and is handed out as one shared [`Arc`], so a hit costs a pointer
+/// clone instead of a rebuild.
 ///
 /// The pool is deliberately small (serving traffic concentrates on few
 /// hot workloads; all six networks × both representations are 12
 /// entries, so the serving path provisions 16) and drops
 /// least-recently-used entries beyond capacity. Reuse never changes
-/// results: the keyed workload is
-/// bit-identical by the generator's determinism guarantee, and the
-/// artifacts are immutable once built.
+/// results: the keyed artifacts are bit-identical by the generator's
+/// determinism guarantee, and immutable once built.
 pub struct ArtifactPool {
     capacity: usize,
     state: Mutex<PoolState>,
@@ -687,7 +764,7 @@ struct PoolState {
 
 #[derive(Clone, PartialEq)]
 struct PoolKey {
-    network: pra_workloads::Network,
+    network: Network,
     repr: Representation,
     seed: u64,
     configs: Vec<PraConfig>,
@@ -695,34 +772,28 @@ struct PoolKey {
 
 struct PoolEntry {
     key: PoolKey,
-    workload: Arc<NetworkWorkload>,
     shared: Arc<SharedEncodedNetwork>,
 }
 
 impl PoolKey {
-    fn new(
-        configs: &[PraConfig],
-        network: pra_workloads::Network,
-        repr: Representation,
-        seed: u64,
-    ) -> Self {
+    fn new(configs: &[PraConfig], network: Network, repr: Representation, seed: u64) -> Self {
         PoolKey { network, repr, seed, configs: configs.to_vec() }
     }
 }
 
 impl PoolState {
-    /// `key`'s handles, marking its entry most-recently-used.
-    fn hit(&mut self, key: &PoolKey) -> Option<(Arc<NetworkWorkload>, Arc<SharedEncodedNetwork>)> {
+    /// `key`'s artifacts, marking its entry most-recently-used.
+    fn hit(&mut self, key: &PoolKey) -> Option<Arc<SharedEncodedNetwork>> {
         let idx = self.entries.iter().position(|e| e.key == *key)?;
         let entry = self.entries.remove(idx);
-        let out = (Arc::clone(&entry.workload), Arc::clone(&entry.shared));
+        let out = Arc::clone(&entry.shared);
         self.entries.insert(0, entry);
         Some(out)
     }
 }
 
 impl ArtifactPool {
-    /// A pool holding at most `capacity` workload+artifact pairs.
+    /// A pool holding at most `capacity` artifact sets.
     pub fn new(capacity: usize) -> Self {
         Self { capacity: capacity.max(1), state: Mutex::default(), released: Condvar::new() }
     }
@@ -750,15 +821,15 @@ impl ArtifactPool {
         self.len() == 0
     }
 
-    /// The pooled workload and artifacts for the key (marking the entry
+    /// The pooled artifacts for the key (marking the entry
     /// most-recently-used), or `None` without building or waiting.
     pub fn lookup(
         &self,
         configs: &[PraConfig],
-        network: pra_workloads::Network,
+        network: Network,
         repr: Representation,
         seed: u64,
-    ) -> Option<(Arc<NetworkWorkload>, Arc<SharedEncodedNetwork>)> {
+    ) -> Option<Arc<SharedEncodedNetwork>> {
         self.lock().hit(&PoolKey::new(configs, network, repr, seed))
     }
 
@@ -771,10 +842,10 @@ impl ArtifactPool {
     pub fn claim(
         &self,
         configs: &[PraConfig],
-        network: pra_workloads::Network,
+        network: Network,
         repr: Representation,
         seed: u64,
-    ) -> Result<(Arc<NetworkWorkload>, Arc<SharedEncodedNetwork>), PoolClaim<'_>> {
+    ) -> Result<Arc<SharedEncodedNetwork>, PoolClaim<'_>> {
         let key = PoolKey::new(configs, network, repr, seed);
         let mut state = self.lock();
         loop {
@@ -795,17 +866,16 @@ impl ArtifactPool {
     /// out early.
     pub fn insert(
         &self,
-        network: pra_workloads::Network,
+        network: Network,
         repr: Representation,
         seed: u64,
         configs: &[PraConfig],
-        workload: Arc<NetworkWorkload>,
         shared: Arc<SharedEncodedNetwork>,
     ) {
         let key = PoolKey::new(configs, network, repr, seed);
         let mut state = self.lock();
         state.entries.retain(|e| e.key != key);
-        state.entries.insert(0, PoolEntry { key, workload, shared });
+        state.entries.insert(0, PoolEntry { key, shared });
         state.entries.truncate(self.capacity);
     }
 
@@ -816,7 +886,7 @@ impl ArtifactPool {
     /// inside a build/simulate path costs one rebuild to rule out,
     /// while trusting a suspect entry could poison every later answer
     /// for that workload. Returns how many entries were dropped.
-    pub fn evict(&self, network: pra_workloads::Network, repr: Representation, seed: u64) -> usize {
+    pub fn evict(&self, network: Network, repr: Representation, seed: u64) -> usize {
         let mut state = self.lock();
         let before = state.entries.len();
         state
@@ -838,9 +908,9 @@ pub struct PoolClaim<'a> {
 impl PoolClaim<'_> {
     /// Pools the finished build under the claimed key, then releases
     /// the claim: every caller waiting on it finds the entry.
-    pub fn insert(self, workload: Arc<NetworkWorkload>, shared: Arc<SharedEncodedNetwork>) {
+    pub fn insert(self, shared: Arc<SharedEncodedNetwork>) {
         let key = &self.key;
-        self.pool.insert(key.network, key.repr, key.seed, &key.configs, workload, shared);
+        self.pool.insert(key.network, key.repr, key.seed, &key.configs, shared);
     }
 }
 
@@ -935,7 +1005,7 @@ pub(crate) fn test_toy_workload() -> NetworkWorkload {
         }
     };
     NetworkWorkload {
-        network: pra_workloads::Network::AlexNet,
+        network: Network::AlexNet,
         repr: Representation::Fixed16,
         model: pra_workloads::ActivationModel {
             zero_frac: 0.5,
@@ -987,28 +1057,38 @@ mod tests {
         workload: &NetworkWorkload,
         artifacts: Artifacts<'_>,
     ) -> Vec<pra_sim::RunResult> {
-        configs.iter().map(|c| crate::run_shared(c, workload, artifacts, |_, _| {})).collect()
+        let views = workload.views();
+        configs.iter().map(|c| crate::run_shared(c, &views, artifacts, |_, _| {})).collect()
     }
 
-    /// Pool → disk → generate, as the serve batch worker resolves a
-    /// key: a pooled hit, else one pipelined build under the key's
+    /// The encoded key a build of `workload` derives.
+    fn key_of(
+        workload: &NetworkWorkload,
+        seed: u64,
+        wanted: &[(EncodingKey, SchedulerConfig)],
+    ) -> CacheKey {
+        encoded_key(workload.network, workload.repr, seed, &workload.views(), wanted)
+    }
+
+    /// Pool → `en` → `wl` → generate, as the serve batch worker
+    /// resolves a key: a pooled hit, else one resolve under the key's
     /// claim, finished and pooled. `true` in the last slot marks a hit.
     fn resolve(
         pool: &ArtifactPool,
         configs: &[PraConfig],
-        net: pra_workloads::Network,
+        net: Network,
         seed: u64,
         store: &ArtifactStore,
-    ) -> (Arc<NetworkWorkload>, Arc<SharedEncodedNetwork>, bool) {
+    ) -> (Arc<SharedEncodedNetwork>, bool) {
         let repr = Representation::Fixed16;
         match pool.claim(configs, net, repr, seed) {
-            Ok((w, s)) => (w, s, true),
+            Ok(s) => (s, true),
             Err(claim) => {
-                let w = Arc::new(store.workload(net, repr, seed).0);
-                let build = SharedEncodedNetwork::start_pipelined(configs, &w, seed, store);
+                let source = || store.workload(net, repr, seed).0;
+                let build = SharedEncodedNetwork::resolve(configs, net, repr, seed, store, source);
                 let s = Arc::new(build.finish(store));
-                claim.insert(Arc::clone(&w), Arc::clone(&s));
-                (w, s, false)
+                claim.insert(Arc::clone(&s));
+                (s, false)
             }
         }
     }
@@ -1220,7 +1300,7 @@ mod tests {
         let layer_one_starts = encode_layers(&diskless.layers[..1], &wanted).len();
         assert!(payload.len() > layer_one_starts + 20, "the toy layer is larger than the cut");
         let cache = store.cache_for(ArtifactKind::Encoded).expect("tier enabled");
-        let key = encoded_key(&workload, seed, &wanted);
+        let key = key_of(&workload, seed, &wanted);
         cache
             .store(ENCODED_KIND, ENCODER_VERSION, &key, &payload[..layer_one_starts + 20])
             .expect("plant the cut entry");
@@ -1322,6 +1402,26 @@ mod tests {
     }
 
     #[test]
+    fn workload_trace_decoder_fails_closed_under_seeded_mutations() {
+        use pra_workloads::traces::{read_trace, write_trace};
+        let mut trace = Vec::new();
+        write_trace(&mut trace, &toy_workload()).expect("an in-memory write");
+        let decode = |m: &[u8]| read_trace(m).ok();
+        assert!(decode(&trace).is_some());
+        // The version, width and layer count, then each layer's name
+        // length and dims (its name, "toy", is 3 bytes).
+        let layer_len = (trace.len() - 16) / 2;
+        let mut fields = vec![4, 8, 12];
+        for at in [16, 16 + layer_len] {
+            fields.extend([at, at + 7, at + 11, at + 15]);
+        }
+        let started = std::time::Instant::now();
+        let wl = fuzz_decoder("wl", &trace, &fields, 10_000, decode);
+        println!("{wl} wl mutations in {:?}", started.elapsed());
+        assert!(wl >= 10_000);
+    }
+
+    #[test]
     fn planted_structural_mutations_fall_back_to_a_diskless_build() {
         let (dir, store) = scratch_store("planted", &[ArtifactKind::Encoded]);
         let workload = toy_workload();
@@ -1351,7 +1451,7 @@ mod tests {
             impossible,
         ];
         let cache = store.cache_for(ArtifactKind::Encoded).expect("tier enabled");
-        let key = encoded_key(&workload, 0xD, &wanted);
+        let key = key_of(&workload, 0xD, &wanted);
         for (n, mutant) in planted.iter().enumerate() {
             cache.store(ENCODED_KIND, ENCODER_VERSION, &key, mutant).expect("plant the mutant");
             let (built, out) =
@@ -1367,15 +1467,14 @@ mod tests {
         let pool = ArtifactPool::new(2);
         let store = memless();
         let configs = [PraConfig::two_stage(2, Representation::Fixed16)];
-        let net = pra_workloads::Network::AlexNet;
-        let (w1, s1, hit1) = resolve(&pool, &configs, net, 0xA, &store);
+        let net = Network::AlexNet;
+        let (s1, hit1) = resolve(&pool, &configs, net, 0xA, &store);
         assert!(!hit1, "first batch builds");
-        let (w2, s2, hit2) = resolve(&pool, &configs, net, 0xA, &store);
+        let (s2, hit2) = resolve(&pool, &configs, net, 0xA, &store);
         assert!(hit2, "second batch reuses");
-        assert!(Arc::ptr_eq(&w1, &w2), "the workload handle is shared, not rebuilt");
         assert!(Arc::ptr_eq(&s1, &s2), "the artifact handle is shared, not rebuilt");
         // A different seed is a different workload: no reuse.
-        let (_, s3, hit3) = resolve(&pool, &configs, net, 0xB, &store);
+        let (s3, hit3) = resolve(&pool, &configs, net, 0xB, &store);
         assert!(!hit3);
         assert!(!Arc::ptr_eq(&s1, &s3));
         // A different design-point set never borrows mismatched artifacts.
@@ -1388,20 +1487,20 @@ mod tests {
     fn artifact_pool_insert_replaces_an_entry_with_the_same_key() {
         let pool = ArtifactPool::new(4);
         let configs = [PraConfig::two_stage(2, Representation::Fixed16)];
-        let (net, repr) = (pra_workloads::Network::AlexNet, Representation::Fixed16);
+        let (net, repr) = (Network::AlexNet, Representation::Fixed16);
         let workload = Arc::new(one_layer());
         let build = || Arc::new(SharedEncodedNetwork::from_workload(&configs, &workload));
         // Two workers that both missed one key both insert.
         let (first, second) = (build(), build());
-        pool.insert(net, repr, 7, &configs, Arc::clone(&workload), first);
-        pool.insert(net, repr, 7, &configs, Arc::clone(&workload), Arc::clone(&second));
+        pool.insert(net, repr, 7, &configs, first);
+        pool.insert(net, repr, 7, &configs, Arc::clone(&second));
         assert_eq!(pool.len(), 1, "one key must hold one entry");
-        let (_, pooled) = pool.lookup(&configs, net, repr, 7).expect("pooled");
+        let pooled = pool.lookup(&configs, net, repr, 7).expect("pooled");
         assert!(Arc::ptr_eq(&pooled, &second), "the newest insert wins");
         // Another design-point set under the same workload is another key.
         let other = [PraConfig::single_stage(Representation::Fixed16)];
         let built = Arc::new(SharedEncodedNetwork::from_workload(&other, &workload));
-        pool.insert(net, repr, 7, &other, Arc::clone(&workload), built);
+        pool.insert(net, repr, 7, &other, built);
         assert_eq!(pool.len(), 2);
     }
 
@@ -1409,18 +1508,18 @@ mod tests {
     fn concurrent_misses_on_one_key_cost_one_build() {
         let pool = ArtifactPool::new(4);
         let configs = [PraConfig::two_stage(2, Representation::Fixed16)];
-        let (net, repr) = (pra_workloads::Network::AlexNet, Representation::Fixed16);
+        let (net, repr) = (Network::AlexNet, Representation::Fixed16);
         let workload = Arc::new(one_layer());
         let pause = std::time::Duration::from_millis(50);
         let Err(claim) = pool.claim(&configs, net, repr, 7) else {
             panic!("an empty pool must miss");
         };
         std::thread::scope(|scope| {
-            let waiter = scope.spawn(|| pool.claim(&configs, net, repr, 7).ok().map(|(_, s)| s));
+            let waiter = scope.spawn(|| pool.claim(&configs, net, repr, 7).ok());
             std::thread::sleep(pause);
             assert!(!waiter.is_finished(), "a second miss must wait for the claimant");
             let built = Arc::new(SharedEncodedNetwork::from_workload(&configs, &workload));
-            claim.insert(Arc::clone(&workload), Arc::clone(&built));
+            claim.insert(Arc::clone(&built));
             let got = waiter.join().unwrap().expect("the waiter must find the claimant's build");
             assert!(Arc::ptr_eq(&got, &built), "one build serves both misses");
         });
@@ -1442,9 +1541,9 @@ mod tests {
         let pool = ArtifactPool::new(2);
         let store = memless();
         let configs = [PraConfig::two_stage(2, Representation::Fixed16)];
-        let net = pra_workloads::Network::AlexNet;
+        let net = Network::AlexNet;
         for seed in [1u64, 2, 3] {
-            let (_, _, hit) = resolve(&pool, &configs, net, seed, &store);
+            let (_, hit) = resolve(&pool, &configs, net, seed, &store);
             assert!(!hit);
         }
         assert_eq!(pool.len(), 2, "capacity binds");
@@ -1455,7 +1554,7 @@ mod tests {
         // The lookup refreshed seed 2: inserting a fourth entry now
         // evicts 3, not 2.
         assert!(pool.lookup(&configs, net, Representation::Fixed16, 2).is_some());
-        let (_, _, hit) = resolve(&pool, &configs, net, 4, &store);
+        let (_, hit) = resolve(&pool, &configs, net, 4, &store);
         assert!(!hit);
         assert!(pool.lookup(&configs, net, Representation::Fixed16, 2).is_some());
         assert!(pool.lookup(&configs, net, Representation::Fixed16, 3).is_none());
@@ -1467,9 +1566,10 @@ mod tests {
         let store = memless();
         let configs = [PraConfig::two_stage(2, Representation::Fixed16)
             .with_fidelity(crate::Fidelity::Sampled { max_pallets: 2 })];
-        let net = pra_workloads::Network::AlexNet;
-        let (w, s, _) = resolve(&pool, &configs, net, 0xC, &store);
-        let pooled = crate::run_shared(&configs[0], &w, &*s, |_, _| {});
+        let net = Network::AlexNet;
+        let (s, _) = resolve(&pool, &configs, net, 0xC, &store);
+        let views = layer_views(net, Representation::Fixed16);
+        let pooled = crate::run_shared(&configs[0], &views, &*s, |_, _| {});
         let direct = NetworkWorkload::build(net, Representation::Fixed16, 0xC);
         let unshared: Vec<_> =
             direct.layers.iter().map(|l| crate::simulate_layer(&configs[0], l)).collect();
@@ -1481,8 +1581,8 @@ mod tests {
         let pool = Arc::new(ArtifactPool::new(4));
         let store = memless();
         let configs = [PraConfig::two_stage(2, Representation::Fixed16)];
-        let net = pra_workloads::Network::AlexNet;
-        let (_, _, hit) = resolve(&pool, &configs, net, 0xA, &store);
+        let net = Network::AlexNet;
+        let (_, hit) = resolve(&pool, &configs, net, 0xA, &store);
         assert!(!hit);
         // Poison the pool mutex the way a panicking worker would: die
         // while holding it mid-operation.
@@ -1497,7 +1597,7 @@ mod tests {
         // Every pool operation keeps working on the recovered state.
         assert_eq!(pool.len(), 1);
         assert!(pool.lookup(&configs, net, Representation::Fixed16, 0xA).is_some());
-        let (_, _, hit) = resolve(&pool, &configs, net, 0xA, &store);
+        let (_, hit) = resolve(&pool, &configs, net, 0xA, &store);
         assert!(hit, "the surviving entry still serves hits after recovery");
         // Supervisor-style eviction drops the suspect workload's entry
         // (and only that one), forcing the next batch to rebuild.
@@ -1506,7 +1606,7 @@ mod tests {
         assert_eq!(pool.evict(net, Representation::Fixed16, 0xA), 0, "evict is idempotent");
         assert!(pool.lookup(&configs, net, Representation::Fixed16, 0xA).is_none());
         assert!(pool.lookup(&configs, net, Representation::Fixed16, 0xB).is_some());
-        let (_, _, hit) = resolve(&pool, &configs, net, 0xA, &store);
+        let (_, hit) = resolve(&pool, &configs, net, 0xA, &store);
         assert!(!hit, "an evicted entry rebuilds");
     }
 

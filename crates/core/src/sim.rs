@@ -42,7 +42,7 @@ use pra_tensor::brick::{
     row_visits, BrickStep, PalletRef, RowVisit,
 };
 use pra_tensor::{ConvLayerSpec, BRICK, PALLET};
-use pra_workloads::{LayerView, LayerWorkload, NetworkWorkload};
+use pra_workloads::{LayerView, LayerWorkload};
 use rayon::prelude::*;
 
 use crate::column::{csd_mask, schedule_brick_with, ColumnSchedule};
@@ -399,13 +399,15 @@ fn schedule_column(cfg: &PraConfig, layer: &LayerWorkload, brick: &[u16; BRICK])
     schedule_brick_with(&masks, cfg.scheduler())
 }
 
-/// Simulates a network's convolutional layers on the configured design
-/// point, labelled with [`PraConfig::label`], against build-once shared
-/// artifacts — a finished [`SharedEncodedNetwork`] or a
-/// [`PipelinedBuild`] still in flight (see [`Artifacts`]): every layer
-/// borrows its shared schedule table (and, when available, the
-/// engine-independent traffic counters) instead of re-scheduling per
-/// design point. Against an in-flight build, layer `idx` simulates as
+/// Simulates a network's convolutional layers — `layers`, the
+/// neuron-free views the artifacts were built over (a workload's
+/// `views()`, or `pra_workloads::layer_views` for a stored one) — on
+/// the configured design point, labelled with [`PraConfig::label`],
+/// against build-once shared artifacts: a finished
+/// [`SharedEncodedNetwork`] or a [`PipelinedBuild`] still in flight (see
+/// [`Artifacts`]). Every layer borrows its shared schedule table (and,
+/// when available, the engine-independent traffic counters) instead of
+/// re-scheduling per design point, so no neuron is read here. Against an in-flight build, layer `idx` simulates as
 /// soon as the builder has produced it, so a cold build's scheduling of
 /// layer *n + 1* overlaps simulation of layer *n*.
 /// `on_layer(idx, partial)` fires the moment layer `idx` finishes, with
@@ -416,30 +418,25 @@ fn schedule_column(cfg: &PraConfig, layer: &LayerWorkload, brick: &[u16; BRICK])
 ///
 /// # Panics
 ///
-/// Panics if the artifacts do not cover `cfg` or the workload's layers
-/// (see [`SharedEncodedNetwork::artifacts`]), or if an in-flight
-/// build's builder died mid-build.
+/// Panics if the artifacts do not cover `cfg` or every layer (see
+/// [`SharedEncodedNetwork::artifacts`]), or if an in-flight build's
+/// builder died mid-build.
 ///
 /// [`SharedEncodedNetwork`]: crate::SharedEncodedNetwork
 /// [`SharedEncodedNetwork::artifacts`]: crate::SharedEncodedNetwork::artifacts
 /// [`PipelinedBuild`]: crate::PipelinedBuild
 pub fn run_shared<'a>(
     cfg: &PraConfig,
-    workload: &NetworkWorkload,
+    layers: &[LayerView<'_>],
     artifacts: impl Into<Artifacts<'a>>,
     mut on_layer: impl FnMut(usize, &RunResult),
 ) -> RunResult {
     let artifacts = artifacts.into();
-    assert_eq!(cfg.repr, workload.repr, "configuration representation must match the workload");
-    assert_eq!(
-        artifacts.layer_count(),
-        workload.layers.len(),
-        "shared artifacts must cover every layer of the workload"
-    );
+    assert_eq!(artifacts.layer_count(), layers.len(), "shared artifacts must cover every layer");
     let mut result = RunResult::new(cfg.label());
-    for (idx, layer) in workload.layers.iter().enumerate() {
+    for (idx, layer) in layers.iter().enumerate() {
         let (sched, traffic) = artifacts.layer(idx, cfg);
-        result.layers.push(simulate_layer_shared(cfg, layer.view(), &sched, traffic.as_ref()));
+        result.layers.push(simulate_layer_shared(cfg, *layer, &sched, traffic.as_ref()));
         on_layer(idx, &result);
     }
     result
@@ -628,6 +625,6 @@ mod tests {
         let w = crate::shared::test_toy_workload();
         let cfg = PraConfig::two_stage(2, Representation::Quant8);
         let shared = crate::SharedEncodedNetwork::from_workload(&[cfg], &w);
-        let _ = run_shared(&cfg, &w, &shared, |_, _| {});
+        let _ = run_shared(&cfg, &w.views(), &shared, |_, _| {});
     }
 }

@@ -103,7 +103,7 @@ fn run_all(
     workload: &NetworkWorkload,
     shared: &SharedEncodedNetwork,
 ) -> Vec<RunResult> {
-    cfgs.iter().map(|c| run_shared(c, workload, shared, |_, _| {})).collect()
+    cfgs.iter().map(|c| run_shared(c, &workload.views(), shared, |_, _| {})).collect()
 }
 
 /// One build the way the sweep and the serve worker run it: start,
@@ -116,7 +116,8 @@ fn build_and_run(
     store: &ArtifactStore,
 ) -> (Vec<RunResult>, CacheOutcome) {
     let build = SharedEncodedNetwork::start_pipelined(cfgs, workload, SEED, store);
-    let results = cfgs.iter().map(|c| run_shared(c, workload, &build, |_, _| {})).collect();
+    let views = workload.views();
+    let results = cfgs.iter().map(|c| run_shared(c, &views, &build, |_, _| {})).collect();
     let outcome = build.encoded_outcome();
     let _ = build.finish(store);
     (results, outcome)

@@ -181,7 +181,7 @@ fn tiny_workload(repr: Representation) -> NetworkWorkload {
 fn assert_shared_equals_per_config(configs: &[PraConfig], w: &NetworkWorkload, what: &str) {
     let shared = SharedEncodedNetwork::from_workload(configs, w);
     for cfg in configs {
-        let via_shared = run_shared(cfg, w, &shared, |_, _| {});
+        let via_shared = run_shared(cfg, &w.views(), &shared, |_, _| {});
         let unshared: Vec<_> = w.layers.iter().map(|l| simulate_layer(cfg, l)).collect();
         assert_eq!(via_shared.layers, unshared, "shared != unshared for {} ({what})", cfg.label());
     }

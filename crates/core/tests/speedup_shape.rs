@@ -21,7 +21,7 @@ fn speedups_on(w: &NetworkWorkload, cfgs: &[PraConfig]) -> (f64, Vec<f64>) {
     let traffic = shared.traffic_view(&chip, Default::default(), w.repr);
     let base = dadn::run_views(&chip, &views, w.repr, traffic);
     let speedup = |r: RunResult| r.speedup_over(&base);
-    let pra = cfgs.iter().map(|cfg| speedup(run_shared(cfg, w, &shared, |_, _| {}))).collect();
+    let pra = cfgs.iter().map(|cfg| speedup(run_shared(cfg, &views, &shared, |_, _| {}))).collect();
     (speedup(stripes::run_views(&chip, &views, w.repr, traffic)), pra)
 }
 

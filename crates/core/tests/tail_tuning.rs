@@ -45,7 +45,8 @@ fn sweep_dense_prob() {
             let traffic = shared.traffic_view(&chip, Default::default(), w.repr);
             let base = dadn::run_views(&chip, &views, w.repr, traffic);
             strs.push(stripes::run_views(&chip, &views, w.repr, traffic).speedup_over(&base));
-            let mk = |k: usize| run_shared(&configs[k], &w, &shared, |_, _| {}).speedup_over(&base);
+            let mk =
+                |k: usize| run_shared(&configs[k], &views, &shared, |_, _| {}).speedup_over(&base);
             p4.push(mk(0));
             p2.push(mk(1));
             p2_1r.push(mk(2));

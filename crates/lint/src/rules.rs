@@ -659,11 +659,14 @@ mod tests {
             .iter()
             .any(|f| f.rule == "serve-no-panic"));
         assert!(lint_source(&cfg, "crates/core/src/schedule.rs", src).findings.is_empty());
-        // A serve worker's pool miss decodes encoded-artifact payloads.
-        assert!(lint_source(&cfg, "crates/core/src/artifact.rs", src)
-            .findings
-            .iter()
-            .any(|f| f.rule == "serve-no-panic"));
+        // A serve worker's pool miss decodes encoded-artifact payloads,
+        // and an encoded miss decodes the workload's trace.
+        for path in ["crates/core/src/artifact.rs", "crates/workloads/src/traces.rs"] {
+            assert!(lint_source(&cfg, path, src)
+                .findings
+                .iter()
+                .any(|f| f.rule == "serve-no-panic"));
+        }
         // The artifact serializer writes content-addressed payloads, so
         // hash-order iteration there is a byte-stream hazard: it must
         // sit inside the deterministic-iteration scope.

@@ -154,14 +154,18 @@ pub struct StatsSnapshot {
     pub worker_restarts: u64,
     /// Requests answered `shed:deadline` past their deadline.
     pub deadline_expired: u64,
-    /// Milliseconds of blocking artifact work (workload sourcing,
-    /// shared-artifact build or decode, entry publication) paid by
-    /// batch workers since boot. The CI warm-start smoke compares this
-    /// across a cold and a warm boot of the same cache directory.
+    /// Milliseconds of blocking artifact work (the encoded-entry
+    /// decode, or workload sourcing and starting the build; entry
+    /// publication) paid by batch workers since boot. The CI warm-start
+    /// smoke compares this across a cold and a warm boot of the same
+    /// cache directory.
     pub encode_ms: u64,
     /// Batches whose shared encoded artifacts loaded from the store's
     /// disk tier instead of being rebuilt.
     pub encoded_hits: u64,
+    /// Batches that read or generated a workload (an encoded-tier
+    /// miss); 0 on a warm boot.
+    pub workload_loads: u64,
     /// This process's shard id within a cluster (0 when standalone).
     pub shard: u64,
     /// This process's epoch — a per-boot value (the process id by
@@ -178,7 +182,8 @@ impl StatsSnapshot {
             "{{\"status\": \"stats\", \"accepted\": {}, \"shed\": {}, \"batches\": {}, \
              \"answered\": {}, \"pool_hits\": {}, \"live_connections\": {}, \
              \"connections_shed\": {}, \"worker_restarts\": {}, \"deadline_expired\": {}, \
-             \"encode_ms\": {}, \"encoded_hits\": {}, \"shard\": {}, \"epoch\": {}}}",
+             \"encode_ms\": {}, \"encoded_hits\": {}, \"workload_loads\": {}, \"shard\": {}, \
+             \"epoch\": {}}}",
             self.accepted,
             self.shed,
             self.batches,
@@ -190,6 +195,7 @@ impl StatsSnapshot {
             self.deadline_expired,
             self.encode_ms,
             self.encoded_hits,
+            self.workload_loads,
             self.shard,
             self.epoch,
         )
@@ -225,6 +231,7 @@ impl StatsSnapshot {
             // round-trip test pins the legacy-line behavior.
             encode_ms: json_num_field(line, "encode_ms").map_or(0, |v| v as u64),
             encoded_hits: json_num_field(line, "encoded_hits").map_or(0, |v| v as u64),
+            workload_loads: json_num_field(line, "workload_loads").map_or(0, |v| v as u64),
             shard: json_num_field(line, "shard").map_or(0, |v| v as u64),
             epoch: json_num_field(line, "epoch").map_or(0, |v| v as u64),
         })
@@ -921,6 +928,7 @@ mod tests {
             deadline_expired: 2,
             encode_ms: 120,
             encoded_hits: 6,
+            workload_loads: 2,
             shard: 3,
             epoch: 4,
         };
@@ -931,12 +939,19 @@ mod tests {
         let truncated = snap.to_json_line().replace("\"batches\": 4, ", "");
         assert!(StatsSnapshot::parse(&truncated).unwrap_err().what.contains("batches"));
         // Snapshots from before a counter shipped parse it as 0 —
-        // shard/epoch (pre-cluster) and the encode-phase counters
-        // (pre-tiered-store) alike.
-        let legacy = StatsSnapshot { encode_ms: 0, encoded_hits: 0, shard: 0, epoch: 0, ..snap };
+        // shard/epoch (pre-cluster), the encode-phase counters
+        // (pre-tiered-store) and workload loads alike.
+        let legacy = StatsSnapshot {
+            encode_ms: 0,
+            encoded_hits: 0,
+            workload_loads: 0,
+            shard: 0,
+            epoch: 0,
+            ..snap
+        };
         let line = snap
             .to_json_line()
-            .replace(", \"encode_ms\": 120, \"encoded_hits\": 6", "")
+            .replace(", \"encode_ms\": 120, \"encoded_hits\": 6, \"workload_loads\": 2", "")
             .replace(", \"shard\": 3, \"epoch\": 4", "");
         assert_eq!(StatsSnapshot::parse(&line).unwrap(), legacy);
     }

@@ -5,11 +5,12 @@
 //! A batch is, by construction, one workload (network × representation
 //! × seed) plus a set of engine requests over it — exactly the shape of
 //! one sweep job (DESIGN.md §8), so the execution path is the same:
-//! source the workload once (content-addressed cache when enabled, so a
-//! warm service never regenerates), build one
-//! [`SharedEncodedNetwork`] covering the batch's distinct PRA design
-//! points, run each *distinct* engine exactly once, and fan the results
-//! back out to every request. Two requests for the same engine in one
+//! resolve one [`SharedEncodedNetwork`] covering the standard PRA design
+//! points (off disk when the store holds its schedule tables, so a warm
+//! service reads no workload; else built over the workload, loaded or
+//! generated once), run each *distinct* engine exactly once over the
+//! neuron-free layer views, and fan the results back out to every
+//! request. Two requests for the same engine in one
 //! batch cost one simulation — that is the amortization the batching
 //! exists for. Responses depend only on the request's own fields, never
 //! on batch composition or scheduling, which is what makes response
@@ -39,6 +40,7 @@ use pra_core::{run_shared, ArtifactPool, Artifacts, PraConfig, SharedEncodedNetw
 use pra_engines::{dadn, stripes};
 use pra_sim::{ChipConfig, RunResult};
 use pra_workloads::cache::CacheOutcome;
+use pra_workloads::layer_views;
 
 use crate::protocol::{
     repr_label, response_digest, Engine, LatencySplit, Request, Response, ShedReason, StatsSnapshot,
@@ -57,8 +59,8 @@ pub struct ServiceStats {
     pub batches: AtomicU64,
     /// Requests answered with `status: ok`.
     pub answered: AtomicU64,
-    /// Batches that reused pooled workload+artifact handles instead of
-    /// rebuilding (the [`ArtifactPool`] batch-to-batch reuse).
+    /// Batches that reused pooled artifacts instead of rebuilding (the
+    /// [`ArtifactPool`] batch-to-batch reuse).
     pub pool_hits: AtomicU64,
     /// Currently open TCP connections (a gauge, maintained by the
     /// front end).
@@ -72,19 +74,24 @@ pub struct ServiceStats {
     /// deadline expired.
     pub deadline_expired: AtomicU64,
     /// Milliseconds of blocking artifact work paid by batch workers, the
-    /// same for v1 and v2 batches: on a pool miss, workload sourcing,
-    /// starting the one pipelined build (key derivation and the
-    /// traffic-table probe) and its `finish` (joining the builder,
-    /// publishing missed entries). Scheduling the tables, or decoding
-    /// the entry, overlaps simulation on the builder thread and is not
-    /// counted, nor is time spent waiting on another worker's build of
-    /// the same key. A
-    /// warm disk store collapses this to the workload load — the CI
-    /// `warm-start-smoke` gate pins that collapse.
+    /// same for v1 and v2 batches: on a pool miss, the resolve — key
+    /// derivation, the encoded-tier probe (on a hit, the whole decode of
+    /// the schedule tables) and the traffic-table probe; on a miss, also
+    /// workload sourcing and starting the pipelined build — and its
+    /// `finish` (joining the builder, publishing missed entries).
+    /// Scheduling the tables cold overlaps simulation on the builder
+    /// thread and is not counted, nor is time spent waiting on another
+    /// worker's build of the same key. A warm disk store collapses this
+    /// to the encoded-entry decode — the CI `warm-start-smoke` gate pins
+    /// that collapse.
     pub encode_ms: AtomicU64,
     /// Batches whose shared encoded artifacts loaded from the store's
     /// disk tier instead of being rebuilt from the workload.
     pub encoded_hits: AtomicU64,
+    /// Batches that read a workload's `wl` entry or generated one: pool
+    /// misses whose encoded entry missed. A warm store keeps this at 0 —
+    /// the CI `warm-start-smoke` gate pins that, independent of timing.
+    pub workload_loads: AtomicU64,
     /// This process's shard id (copied from [`ServeConfig::shard`] at
     /// start so the snapshot path needs no config handle).
     pub shard: AtomicU64,
@@ -111,15 +118,15 @@ impl ServiceStats {
             deadline_expired: ld(&self.deadline_expired),
             encode_ms: ld(&self.encode_ms),
             encoded_hits: ld(&self.encoded_hits),
+            workload_loads: ld(&self.workload_loads),
             shard: ld(&self.shard),
             epoch: ld(&self.epoch),
         }
     }
 }
 
-/// Workload+artifact pool slots. All twelve standard workloads (six
-/// networks × two representations) fit with headroom for a few
-/// off-seed requests.
+/// Artifact pool slots. All twelve standard workloads (six networks ×
+/// two representations) fit with headroom for a few off-seed requests.
 const POOL_CAPACITY: usize = 16;
 
 /// Supervisor sweep cadence: short enough that deadline sheds and
@@ -523,19 +530,21 @@ fn run_batch(
         return;
     }
 
-    // One workload and one shared-artifact build per batch, and — via
-    // the [`ArtifactPool`] — per *run of batches*: the pool is always
-    // keyed on the full standard design-point set, so the first batch
-    // of a workload builds artifacts every later batch reuses whatever
-    // engine mix it carries. Resolution is pool → disk → generate, the
-    // same for v1 and v2: a pool hit runs over the pooled network; a
-    // miss with PRA work claims the key (a concurrent miss on it waits
-    // for this build instead of starting a second one), starts the one
-    // pipelined build (the tiered [`ArtifactStore`] decodes a warm
-    // entry's schedule tables instead of re-scheduling), runs every PRA engine
-    // against it in flight, and `finish`es and pools it. Baselines-only
-    // batches never pay for or wait on an encode — a miss falls back to
-    // the bare workload.
+    // One shared-artifact resolve per batch, and — via the
+    // [`ArtifactPool`] — per *run of batches*: the pool is always keyed
+    // on the full standard design-point set, so the first batch of a
+    // workload resolves artifacts every later batch reuses whatever
+    // engine mix it carries. Resolution is pool → `en` → `wl` →
+    // generate, the same for v1 and v2: a pool hit runs over the pooled
+    // network; a miss with PRA work claims the key (a concurrent miss on
+    // it waits for this build instead of starting a second one) and
+    // resolves it through the tiered [`ArtifactStore`] — a stored
+    // entry's schedule tables decode without any workload, and only an
+    // `en` miss loads or generates the workload and starts the pipelined
+    // build — runs every PRA engine against it, and `finish`es and pools
+    // it. Every engine runs from the neuron-free layer views, so
+    // baselines-only batches need no workload at all: a pool miss
+    // counts their traffic from geometry.
     //
     // [`ArtifactStore`]: pra_workloads::cache::ArtifactStore
     let std_cfgs: Vec<PraConfig> = pra_bench::sweep::pra_configs(key.repr, cfg.fidelity);
@@ -551,19 +560,24 @@ fn run_batch(
     // excluded — neither is work this batch does.
     let ms_since = |t: Instant| t.elapsed().as_millis() as u64;
     let t = Instant::now();
-    let (workload, pooled, claim) = match found {
-        Ok((workload, shared)) => {
+    let (pooled, claim) = match found {
+        Ok(shared) => {
             // relaxed-ok: monotonic stat counter; nothing synchronizes
             // through it.
             stats.pool_hits.fetch_add(1, Ordering::Relaxed);
-            (workload, Some(shared), None)
+            (Some(shared), None)
         }
-        Err(claim) => {
-            (Arc::new(cfg.store.workload(key.network, key.repr, key.seed).0), None, claim)
-        }
+        Err(claim) => (None, claim),
     };
     let build = claim.map(|claim| {
-        (claim, SharedEncodedNetwork::start_pipelined(&std_cfgs, &workload, key.seed, &cfg.store))
+        let source = || {
+            // relaxed-ok: monotonic stat counter; nothing synchronizes
+            // through it.
+            stats.workload_loads.fetch_add(1, Ordering::Relaxed);
+            cfg.store.workload(key.network, key.repr, key.seed).0
+        };
+        let (net, repr, seed) = (key.network, key.repr, key.seed);
+        (claim, SharedEncodedNetwork::resolve(&std_cfgs, net, repr, seed, &cfg.store, source))
     });
     let mut build_ms = ms_since(t);
 
@@ -575,7 +589,8 @@ fn run_batch(
     // deadlines keep bounding total latency.
     let has_streamers = batch.requests.iter().any(|p| p.req.v == 2);
     let mut frames_sent: BTreeMap<u64, usize> = BTreeMap::new();
-    let layers = workload.layers.len();
+    let views = layer_views(key.network, key.repr);
+    let layers = views.len();
     let artifacts = match (&pooled, &build) {
         (Some(shared), _) => Some(Artifacts::Built(shared)),
         (None, Some((_, build))) => Some(Artifacts::Building(build)),
@@ -587,11 +602,11 @@ fn run_batch(
             continue;
         };
         let r = if has_streamers && pra_runs.is_empty() {
-            run_shared(pra_cfg, &workload, artifacts, |idx, partial| {
+            run_shared(pra_cfg, &views, artifacts, |idx, partial| {
                 emit_frames(registry, slot, cfg, &mut frames_sent, idx, layers, partial);
             })
         } else {
-            run_shared(pra_cfg, &workload, artifacts, |_, _| {})
+            run_shared(pra_cfg, &views, artifacts, |_, _| {})
         };
         pra_runs.insert(label.as_str(), r);
     }
@@ -602,11 +617,11 @@ fn run_batch(
             // The encoded probe settles with layer 0, which the runs
             // above consumed, so this read is authoritative.
             encoded_hit = build.encoded_outcome() == CacheOutcome::Hit;
-            // `finish` publishes a missed encoded entry.
+            // `finish` publishes whatever the store missed.
             let t = Instant::now();
             let shared = Arc::new(build.finish(&cfg.store));
             build_ms += ms_since(t);
-            claim.insert(Arc::clone(&workload), Arc::clone(&shared));
+            claim.insert(Arc::clone(&shared));
             Some(shared)
         }
         None => pooled,
@@ -619,7 +634,6 @@ fn run_batch(
         // through it.
         stats.encoded_hits.fetch_add(1, Ordering::Relaxed);
     }
-    let views = workload.views();
     let chip = ChipConfig::dadn();
     let traffic = shared.as_ref().and_then(|s| s.traffic_view(&chip, Default::default(), key.repr));
 
@@ -914,25 +928,48 @@ mod tests {
             SimService::start(ServeConfig { store, ..fast_cfg(1, 1) })
         };
         let hits = |svc: &SimService| svc.stats().encoded_hits.load(Ordering::Relaxed);
-        // Cold store: the v1 miss encodes, and `finish` publishes.
+        let loads = |svc: &SimService| svc.stats().workload_loads.load(Ordering::Relaxed);
+        let workload_entries = || {
+            let names = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name());
+            names.filter(|n| n.to_string_lossy().starts_with("wl-")).count()
+        };
+        // Cold store: the v1 miss generates the workload and encodes,
+        // and `finish` publishes.
         let svc = boot();
         let cold = ok_digest(&svc.call(req(1, "PRA-2b")).unwrap());
         assert_eq!(hits(&svc), 0, "an empty store has nothing to stream");
+        assert_eq!(loads(&svc), 1, "a cold miss needs the workload");
         svc.shutdown();
-        // A fresh process on the same store: the v1 pool miss streams
-        // the published entry off disk, exactly as a v2 miss does.
+        // Without its `wl` entry, a miss that read or generated the
+        // workload would republish it.
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.file_name().is_some_and(|n| n.to_string_lossy().starts_with("wl-")) {
+                std::fs::remove_file(path).unwrap();
+            }
+        }
+        // A fresh process on the same store: the v1 pool miss loads the
+        // published entry off disk, exactly as a v2 miss does, and reads
+        // no workload at all.
         let svc = boot();
         let warm_v1 = ok_digest(&svc.call(req(2, "PRA-2b")).unwrap());
         assert_eq!(hits(&svc), 1, "a v1 pool miss must load the encoded entry");
+        assert_eq!(loads(&svc), 0, "an encoded hit needs no workload");
+        // A baselines-only pool miss needs no workload either.
+        let mut other_seed = req(3, "Stripes");
+        other_seed.seed = 0xF00D;
+        let _ = ok_digest(&svc.call(other_seed).unwrap());
+        assert_eq!(loads(&svc), 0, "baselines run from the layer views alone");
         svc.shutdown();
         let svc = boot();
-        let mut streaming = req(3, "PRA-2b");
+        let mut streaming = req(4, "PRA-2b");
         streaming.v = 2;
         let warm_v2 = ok_digest(&svc.call(streaming).unwrap());
-        assert_eq!(hits(&svc), 1, "a v2 pool miss loads the same entry");
+        assert_eq!((hits(&svc), loads(&svc)), (1, 0), "a v2 pool miss loads the same entry");
         svc.shutdown();
         assert_eq!(warm_v1, cold, "warm starts move time, never bytes");
         assert_eq!(warm_v1, warm_v2, "v1 and v2 answer one digest");
+        assert_eq!(workload_entries(), 0, "no wl entry was read or regenerated");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

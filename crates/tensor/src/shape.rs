@@ -25,6 +25,15 @@ impl Dim3 {
         self.x * self.y * self.i
     }
 
+    /// [`Dim3::len`], or `None` when the product overflows — for
+    /// dimensions read from untrusted bytes.
+    pub const fn checked_len(&self) -> Option<usize> {
+        match self.x.checked_mul(self.y) {
+            Some(xy) => xy.checked_mul(self.i),
+            None => None,
+        }
+    }
+
     /// Whether the array holds no elements.
     pub const fn is_empty(&self) -> bool {
         self.len() == 0

@@ -23,6 +23,8 @@
 //! the rayon pool produces bit-identical tensors to the serial path
 //! (DESIGN.md §8).
 
+use std::sync::OnceLock;
+
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use rayon::prelude::*;
@@ -342,23 +344,23 @@ impl LayerWorkload {
         self.neurons.map(|v| w.trim(v))
     }
 
-    /// A borrowed view of this layer, for callers that already own (or
-    /// share) the neuron tensor and must not clone it into a workload.
+    /// This layer's neuron-free description.
     pub fn view(&self) -> LayerView<'_> {
         LayerView {
             spec: &self.spec,
             window: self.window,
             stripes_precision: self.stripes_precision,
-            neurons: &self.neurons,
         }
     }
 }
 
-/// A borrowed [`LayerWorkload`]: the same simulation inputs without
-/// ownership of the neuron tensor. The inference driver hands the cycle
-/// simulator views of its live activation tensors instead of cloning
-/// every layer's activations into a fresh workload.
-#[derive(Debug, Clone, Copy)]
+/// A layer without its neurons: the geometry, precision window and
+/// Stripes precision every engine reads. Once a layer's schedule tables
+/// exist, the neuron values have nothing left to give — a column's cost
+/// depends only on its brick's oneffsets and the scheduler (§V-D) — so
+/// the engines run from views alone, and a warm run needs no workload
+/// ([`layer_views`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LayerView<'a> {
     /// Layer geometry.
     pub spec: &'a ConvLayerSpec,
@@ -366,8 +368,38 @@ pub struct LayerView<'a> {
     pub window: PrecisionWindow,
     /// The Stripes serial precision for this layer.
     pub stripes_precision: u8,
-    /// The layer's input neurons.
-    pub neurons: &'a Tensor3<u16>,
+}
+
+impl LayerView<'_> {
+    /// This layer with `neurons` attached.
+    pub fn with_neurons(self, neurons: Tensor3<u16>) -> LayerWorkload {
+        LayerWorkload {
+            spec: self.spec.clone(),
+            window: self.window,
+            stripes_precision: self.stripes_precision,
+            neurons,
+        }
+    }
+}
+
+/// Every conv layer of `network` under `repr`, without neurons: the
+/// geometry plus the window and Stripes precision derived from the
+/// layer's Table II precision — exactly what generation and trace loads
+/// attach to each layer, so a stored workload's [`NetworkWorkload::views`]
+/// equal these. The geometry is built once per process.
+pub fn layer_views(network: Network, repr: Representation) -> Vec<LayerView<'static>> {
+    static SPECS: [OnceLock<Vec<ConvLayerSpec>>; Network::ALL.len()] =
+        [const { OnceLock::new() }; Network::ALL.len()];
+    let specs = SPECS[network as usize].get_or_init(|| network.conv_layers());
+    specs
+        .iter()
+        .zip(profiles::precisions(network))
+        .map(|(spec, &p)| LayerView {
+            spec,
+            window: layer_window(repr, p),
+            stripes_precision: stripes_precision(repr, p),
+        })
+        .collect()
 }
 
 /// A network's full convolutional workload in one representation.
@@ -447,17 +479,9 @@ impl NetworkWorkload {
         seed: u64,
         parallel: bool,
     ) -> Self {
-        let specs = network.conv_layers();
-        let precs = profiles::precisions(network);
-        let mut layers: Vec<LayerWorkload> = specs
+        let mut layers: Vec<LayerWorkload> = layer_views(network, repr)
             .into_iter()
-            .zip(precs.iter().copied())
-            .map(|(spec, p)| LayerWorkload {
-                window: layer_window(repr, p),
-                stripes_precision: stripes_precision(repr, p),
-                neurons: Tensor3::zeros(spec.input),
-                spec,
-            })
+            .map(|v| v.with_neurons(Tensor3::zeros(v.spec.input)))
             .collect();
         let jobs: Vec<RowJob<'_>> = layers
             .iter_mut()
@@ -490,8 +514,8 @@ impl NetworkWorkload {
         self.layers.iter().map(|l| l.spec.multiplications()).sum()
     }
 
-    /// Borrowed views of every layer, in order — the input the baseline
-    /// engines' `run_views` take.
+    /// Every layer's neuron-free view, in order — what the engines'
+    /// network runners take.
     pub fn views(&self) -> Vec<LayerView<'_>> {
         self.layers.iter().map(LayerWorkload::view).collect()
     }

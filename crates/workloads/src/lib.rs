@@ -33,7 +33,7 @@ pub mod traces;
 
 pub use cache::CacheOutcome;
 pub use generator::{
-    mix_seed, ActivationModel, DrawParts, LayerView, LayerWorkload, NetworkWorkload,
+    layer_views, mix_seed, ActivationModel, DrawParts, LayerView, LayerWorkload, NetworkWorkload,
     Representation, Sampler,
 };
 pub use networks::Network;

@@ -20,11 +20,8 @@ use std::io::{self, Read, Write};
 
 use pra_tensor::{Dim3, Tensor3};
 
-use crate::generator::{
-    layer_window, stripes_precision, LayerWorkload, NetworkWorkload, Representation,
-};
+use crate::generator::{layer_views, NetworkWorkload, Representation};
 use crate::networks::Network;
-use crate::profiles;
 
 const MAGIC: &[u8; 4] = b"PRAT";
 const VERSION: u32 = 1;
@@ -67,91 +64,94 @@ pub struct TraceLayer {
 ///
 /// # Errors
 ///
-/// Returns [`io::ErrorKind::InvalidData`] for a bad magic, version,
-/// representation width or truncated payload, besides propagating I/O
-/// errors.
+/// Returns [`io::ErrorKind::InvalidData`] for a bad magic, version or
+/// representation width, a truncated payload, an 8-bit trace holding
+/// wider values, or bytes left over after the last layer, besides
+/// propagating I/O errors from `r`.
 pub fn read_trace<R: Read>(mut r: R) -> io::Result<(Representation, Vec<TraceLayer>)> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(bad("not a PRAT trace (bad magic)"));
-    }
-    if read_u32(&mut r)? != VERSION {
+    let mut bytes = Vec::new();
+    r.read_to_end(&mut bytes)?;
+    parse_trace(&bytes)
+}
+
+/// The decoder behind [`read_trace`], total over any input: every
+/// length is checked arithmetic, and each layer is bounded by the bytes
+/// left before anything is allocated, so a crafted header (a cache
+/// entry, a user trace) can neither overflow a size nor ask for memory
+/// the input does not hold. Any mismatch is an error, never a panic.
+fn parse_trace(bytes: &[u8]) -> io::Result<(Representation, Vec<TraceLayer>)> {
+    let mut rest = bytes.strip_prefix(MAGIC).ok_or_else(|| bad("not a PRAT trace (bad magic)"))?;
+    if take_u32(&mut rest)? != VERSION {
         return Err(bad("unsupported PRAT version"));
     }
-    let repr = match read_u32(&mut r)? {
+    let repr = match take_u32(&mut rest)? {
         16 => Representation::Fixed16,
         8 => Representation::Quant8,
         other => return Err(bad(format!("unsupported representation width {other}"))),
     };
-    let layers = read_u32(&mut r)? as usize;
-    if layers > 10_000 {
-        return Err(bad("implausible layer count"));
+    // A layer's name length and dims alone take 16 bytes.
+    let layers = take_u32(&mut rest)? as usize;
+    if layers > rest.len() / 16 {
+        return Err(bad("layer count exceeds the trace"));
     }
     let mut out = Vec::with_capacity(layers);
     for _ in 0..layers {
-        let name_len = read_u32(&mut r)? as usize;
-        if name_len > 4096 {
-            return Err(bad("implausible layer name length"));
-        }
-        let mut name = vec![0u8; name_len];
-        r.read_exact(&mut name)?;
-        let name = String::from_utf8(name).map_err(|_| bad("layer name is not UTF-8"))?;
-        let (x, y, i) =
-            (read_u32(&mut r)? as usize, read_u32(&mut r)? as usize, read_u32(&mut r)? as usize);
-        let dim = Dim3::new(x, y, i);
-        // Bulk read: one read_exact per layer instead of one per neuron
-        // (a warm cache load parses tens of MB through this path).
-        let mut bytes = vec![0u8; dim.len() * 2];
-        r.read_exact(&mut bytes)?;
+        let name_len = take_u32(&mut rest)? as usize;
+        let name = std::str::from_utf8(take(&mut rest, name_len)?)
+            .map_err(|_| bad("layer name is not UTF-8"))?
+            .to_string();
+        let dim = Dim3::new(
+            take_u32(&mut rest)? as usize,
+            take_u32(&mut rest)? as usize,
+            take_u32(&mut rest)? as usize,
+        );
+        let len = dim.checked_len().and_then(|n| n.checked_mul(2));
+        let raw = take(&mut rest, len.ok_or_else(|| bad("layer dims overflow"))?)?;
         let data: Vec<u16> =
-            bytes.chunks_exact(2).map(|c| u16::from_le_bytes([c[0], c[1]])).collect();
+            raw.as_chunks::<2>().0.iter().map(|&c| u16::from_le_bytes(c)).collect();
         if repr == Representation::Quant8 && data.iter().any(|&v| v > 255) {
             return Err(bad("8-bit trace contains values above 255"));
         }
         out.push(TraceLayer { name, neurons: Tensor3::from_vec(dim, data) });
     }
+    if !rest.is_empty() {
+        return Err(bad("trailing bytes after the last layer"));
+    }
     Ok((repr, out))
 }
 
 /// Rebuilds a [`NetworkWorkload`] from a trace, attaching `network`'s
-/// layer geometry and Table II precision windows. Layer tensors must match
-/// the network's input dimensions layer by layer.
+/// layer geometry and Table II precision windows ([`layer_views`]). Layer
+/// tensors must match the network's input dimensions layer by layer.
 ///
 /// # Errors
 ///
-/// Returns [`io::ErrorKind::InvalidData`] if the trace's layer count or
-/// any tensor shape does not match `network`.
+/// Returns [`io::ErrorKind::InvalidData`] if the trace does not decode
+/// ([`read_trace`]) or its layer count or any tensor shape does not match
+/// `network`.
 pub fn workload_from_trace<R: Read>(r: R, network: Network) -> io::Result<NetworkWorkload> {
     let (repr, traced) = read_trace(r)?;
-    let specs = network.conv_layers();
-    let precs = profiles::precisions(network);
-    if traced.len() != specs.len() {
+    let views = layer_views(network, repr);
+    if traced.len() != views.len() {
         return Err(bad(format!(
             "trace has {} layers but {network} has {}",
             traced.len(),
-            specs.len()
+            views.len()
         )));
     }
-    let layers = specs
+    let layers = views
         .into_iter()
-        .zip(precs)
         .zip(traced)
-        .map(|((spec, &p), t)| {
-            if t.neurons.dim() != spec.input {
+        .map(|(view, t)| {
+            if t.neurons.dim() != view.spec.input {
                 return Err(bad(format!(
                     "layer {}: trace dims {:?} but the network expects {:?}",
-                    spec.name(),
+                    view.spec.name(),
                     t.neurons.dim(),
-                    spec.input
+                    view.spec.input
                 )));
             }
-            Ok(LayerWorkload {
-                window: layer_window(repr, p),
-                stripes_precision: stripes_precision(repr, p),
-                neurons: t.neurons,
-                spec,
-            })
+            Ok(view.with_neurons(t.neurons))
         })
         .collect::<io::Result<Vec<_>>>()?;
     Ok(NetworkWorkload {
@@ -170,10 +170,17 @@ pub fn workload_from_trace<R: Read>(r: R, network: Network) -> io::Result<Networ
     })
 }
 
-fn read_u32<R: Read>(r: &mut R) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
+/// The next `n` bytes of `rest`, or an error when fewer are left.
+fn take<'a>(rest: &mut &'a [u8], n: usize) -> io::Result<&'a [u8]> {
+    let (head, tail) = rest.split_at_checked(n).ok_or_else(|| bad("truncated PRAT trace"))?;
+    *rest = tail;
+    Ok(head)
+}
+
+fn take_u32(rest: &mut &[u8]) -> io::Result<u32> {
+    let (head, tail) = rest.split_first_chunk::<4>().ok_or_else(|| bad("truncated PRAT trace"))?;
+    *rest = tail;
+    Ok(u32::from_le_bytes(*head))
 }
 
 fn bad(msg: impl Into<String>) -> io::Error {
@@ -245,6 +252,35 @@ mod tests {
         let err = workload_from_trace(buf.as_slice(), Network::Vgg19).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("layers"));
+    }
+
+    /// A one-layer trace header claiming `dims`, followed by `data`.
+    fn crafted(dims: [u32; 3], data: &[u8]) -> Vec<u8> {
+        let mut buf = b"PRAT".to_vec();
+        for v in [1u32, 16, 1, 1] {
+            buf.extend_from_slice(&v.to_le_bytes());
+        }
+        buf.push(b'x');
+        for d in dims {
+            buf.extend_from_slice(&d.to_le_bytes());
+        }
+        buf.extend_from_slice(data);
+        buf
+    }
+
+    #[test]
+    fn crafted_dims_fail_closed_without_allocating() {
+        // Overflows the element count.
+        let overflow = crafted([u32::MAX; 3], &[0; 64]);
+        assert_eq!(read_trace(overflow.as_slice()).unwrap_err().kind(), io::ErrorKind::InvalidData);
+        // 2^48 neurons: 512 TiB the input does not hold.
+        let huge = crafted([1 << 16; 3], &[0; 64]);
+        assert_eq!(read_trace(huge.as_slice()).unwrap_err().kind(), io::ErrorKind::InvalidData);
+        // The exact bytes decode; one more or one fewer does not.
+        let exact = crafted([2, 1, 1], &[1, 0, 2, 0]);
+        assert_eq!(read_trace(exact.as_slice()).unwrap().1[0].neurons.as_slice(), &[1, 2]);
+        assert!(read_trace(&exact[..exact.len() - 1]).is_err());
+        assert!(read_trace([exact.as_slice(), &[0]].concat().as_slice()).is_err());
     }
 
     #[test]

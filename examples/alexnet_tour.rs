@@ -30,8 +30,8 @@ fn main() {
     let traffic = shared.traffic_view(&chip, Default::default(), w.repr);
     let base = dadn::run_views(&chip, &views, w.repr, traffic);
     let str_r = stripes::run_views(&chip, &views, w.repr, traffic);
-    let pra2b = run_shared(&configs[0], &w, &shared, |_, _| {});
-    let pra1r = run_shared(&configs[1], &w, &shared, |_, _| {});
+    let pra2b = run_shared(&configs[0], &views, &shared, |_, _| {});
+    let pra1r = run_shared(&configs[1], &views, &shared, |_, _| {});
 
     println!("\nper-layer speedup over DaDN:");
     println!(

@@ -59,7 +59,7 @@ fn main() {
             .iter()
             .zip(&shared)
             .zip(&bases)
-            .map(|((w, s), b)| run_shared(&cfg, w, s, |_, _| {}).speedup_over(b))
+            .map(|((w, s), b)| run_shared(&cfg, &w.views(), s, |_, _| {}).speedup_over(b))
             .collect();
         let s = geomean(&speedups);
         let a = chip_area_mm2(design);

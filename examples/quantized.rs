@@ -49,7 +49,7 @@ fn main() {
     let base = dadn::run_views(&chip, &views, w.repr, traffic);
     let mut runs = vec![("Stripes (p<=8)", stripes::run_views(&chip, &views, w.repr, traffic))];
     for (name, cfg) in &pra {
-        runs.push((*name, run_shared(cfg, &w, &shared, |_, _| {})));
+        runs.push((*name, run_shared(cfg, &views, &shared, |_, _| {})));
     }
     for (name, r) in runs {
         let speedup = r.speedup_over(&base);

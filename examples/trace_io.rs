@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let shared = SharedEncodedNetwork::from_workload(&[cfg], &traced);
     let traffic = shared.traffic_view(&chip, Default::default(), traced.repr);
     let base = dadn::run_views(&chip, &traced.views(), traced.repr, traffic);
-    let pra = run_shared(&cfg, &traced, &shared, |_, _| {});
+    let pra = run_shared(&cfg, &traced.views(), &shared, |_, _| {});
     println!(
         "PRA-2b on the traced workload: {:.2}x over DaDN ({} vs {} cycles)",
         pra.speedup_over(&base),
@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Identical to simulating the original workload: the trace is lossless.
     let original_shared = SharedEncodedNetwork::from_workload(&[cfg], &original);
-    let direct = run_shared(&cfg, &original, &original_shared, |_, _| {});
+    let direct = run_shared(&cfg, &original.views(), &original_shared, |_, _| {});
     assert_eq!(direct.total_cycles(), pra.total_cycles());
     println!("trace round-trip is lossless (cycle counts identical)");
 

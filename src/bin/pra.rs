@@ -761,6 +761,7 @@ fn cmd_ctl(args: &[String]) -> Result<(), String> {
         t.row(["deadline expired", &snap.deadline_expired.to_string()]);
         t.row(["encode ms", &snap.encode_ms.to_string()]);
         t.row(["encoded hits", &snap.encoded_hits.to_string()]);
+        t.row(["workload loads", &snap.workload_loads.to_string()]);
         t.row(["shard", &snap.shard.to_string()]);
         t.row(["epoch", &snap.epoch.to_string()]);
         t.print("Service counters");
