@@ -960,7 +960,7 @@ pub fn load_workload(
     for (i, v) in vals.iter_mut().enumerate() {
         *v = f64::from_le_bytes(payload[8 * i..8 * i + 8].try_into().unwrap());
     }
-    let mut workload = traces::workload_from_trace(&payload[48..], network).ok()?;
+    let mut workload = traces::workload_from_bytes(&payload[48..], network).ok()?;
     if workload.repr != repr {
         return None;
     }

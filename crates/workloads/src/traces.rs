@@ -129,8 +129,16 @@ fn parse_trace(bytes: &[u8]) -> io::Result<(Representation, Vec<TraceLayer>)> {
 /// Returns [`io::ErrorKind::InvalidData`] if the trace does not decode
 /// ([`read_trace`]) or its layer count or any tensor shape does not match
 /// `network`.
-pub fn workload_from_trace<R: Read>(r: R, network: Network) -> io::Result<NetworkWorkload> {
-    let (repr, traced) = read_trace(r)?;
+pub fn workload_from_trace<R: Read>(mut r: R, network: Network) -> io::Result<NetworkWorkload> {
+    let mut bytes = Vec::new();
+    r.read_to_end(&mut bytes)?;
+    workload_from_bytes(&bytes, network)
+}
+
+/// [`workload_from_trace`] over a trace already in memory — a cache
+/// entry's payload — without copying it.
+pub(crate) fn workload_from_bytes(bytes: &[u8], network: Network) -> io::Result<NetworkWorkload> {
+    let (repr, traced) = parse_trace(bytes)?;
     let views = layer_views(network, repr);
     if traced.len() != views.len() {
         return Err(bad(format!(
