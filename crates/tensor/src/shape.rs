@@ -27,11 +27,8 @@ impl Dim3 {
 
     /// [`Dim3::len`], or `None` when the product overflows — for
     /// dimensions read from untrusted bytes.
-    pub const fn checked_len(&self) -> Option<usize> {
-        match self.x.checked_mul(self.y) {
-            Some(xy) => xy.checked_mul(self.i),
-            None => None,
-        }
+    pub fn checked_len(&self) -> Option<usize> {
+        self.x.checked_mul(self.y)?.checked_mul(self.i)
     }
 
     /// Whether the array holds no elements.
