@@ -134,26 +134,33 @@ fn bench_layers(c: &mut Criterion) {
     });
     // The simulation alone, as `run_shared` calls it: a prebuilt
     // schedule table and precomputed traffic, so the weighted pass (and,
-    // per column, the pallet walk) is all that is timed.
+    // per column, the pallet walk) is all that is timed. The second
+    // layer has AlexNet conv1's shape: stride 4, and 55 windows per row,
+    // so three full pallets and a 7-lane one per row.
+    let per_column = PraConfig::per_column(1, Representation::Fixed16);
+    let strided = LayerWorkload {
+        spec: ConvLayerSpec::new("bench_s4", (227, 227, 3), (11, 11), 96, 4, 0).unwrap(),
+        window: pra_fixed::PrecisionWindow::with_width(9, 2),
+        stripes_precision: 9,
+        neurons: Tensor3::from_fn((227, 227, 3), |x, y, i| {
+            ((x * 131 + y * 17 + i * 7) % 300) as u16
+        }),
+    };
     let sched = LayerScheduler::new(&cfg, layer.window, &layer.neurons);
-    let traffic = pra_engines::shared_traffic(
-        &cfg.chip,
-        &spec,
-        &Dispatcher::new(NeuronMemory::new(cfg.nm_layout, cfg.chip.nm_row_neurons(16))),
-    );
-    for (name, sim_cfg) in [
-        ("pra2b_simulate_layer_shared_32x32x64", cfg),
-        (
-            "pra2b1r_simulate_layer_shared_32x32x64",
-            PraConfig::per_column(1, Representation::Fixed16),
-        ),
+    let strided_sched = LayerScheduler::new(&cfg, strided.window, &strided.neurons);
+    let nm = NeuronMemory::new(cfg.nm_layout, cfg.chip.nm_row_neurons(16));
+    for (name, sim_cfg, layer, sched) in [
+        ("pra2b_simulate_layer_shared_32x32x64", cfg, &layer, &sched),
+        ("pra2b1r_simulate_layer_shared_32x32x64", per_column, &layer, &sched),
+        ("pra2b1r_simulate_layer_shared_227x227x3_s4", per_column, &strided, &strided_sched),
     ] {
+        let traffic = pra_engines::shared_traffic(&cfg.chip, &layer.spec, &Dispatcher::new(nm));
         c.bench_function(name, |b| {
             b.iter(|| {
                 black_box(pra_core::simulate_layer_shared(
                     black_box(&sim_cfg),
                     layer.view(),
-                    &sched,
+                    sched,
                     Some(&traffic),
                 ))
             })
@@ -170,7 +177,6 @@ fn bench_layers(c: &mut Criterion) {
     });
     // Per-column sync with one SSR (the per-set recurrence) and Stripes
     // (a fold of max(p, NM rows) over pallet-steps) on the same layer.
-    let per_column = PraConfig::per_column(1, Representation::Fixed16);
     c.bench_function("pra2b1r_simulate_layer_32x32x64", |b| {
         b.iter_batched(
             || layer.clone(),

@@ -30,7 +30,7 @@ use crate::config::{Encoding, EncodingKey, PraConfig};
 
 /// Most cycles a brick can take: each cycle drains the anchor power from
 /// every lane holding it, and a CSD mask spans at most 17 powers.
-const MAX_CYCLES: u32 = 17;
+pub(crate) const MAX_CYCLES: u32 = 17;
 
 /// Most terms a brick can hold: 16 lanes × 17 powers.
 const MAX_TERMS: u32 = 16 * 17;

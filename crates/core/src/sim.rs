@@ -19,10 +19,14 @@
 //! work. Terms, which no sync policy changes, are the same weighted sum
 //! of brick terms under every policy. Per-column sync still walks every
 //! selected pallet, since its recurrence couples the columns step by
-//! step. Both fan out across the thread pool in contiguous chunks — input
-//! rows for the weighted pass, pallets for the walk — with an
-//! order-preserving reduction, so a single-layer request scales across
-//! cores.
+//! step, but eight pallets of one pallet column at a time: for each
+//! brick step it reads their `16 × 8` column costs as contiguous runs
+//! of a transposed copy of the table, then advances all eight
+//! recurrences with the pallet index innermost and no data-dependent
+//! branch, so the compiler vectorizes it across pallets. Both fan out
+//! across the thread pool in contiguous chunks — input rows for the
+//! weighted pass, whole batches for the walk — with an order-preserving
+//! reduction, so a single-layer request scales across cores.
 //!
 //! Entry points: [`run_shared`] is the one network runner — every
 //! design point of a workload simulates against one
@@ -47,7 +51,7 @@ use rayon::prelude::*;
 
 use crate::column::{csd_mask, schedule_brick_with, ColumnSchedule};
 use crate::config::{Encoding, Fidelity, PraConfig, SyncPolicy};
-use crate::schedule::LayerScheduler;
+use crate::schedule::{LayerScheduler, MAX_CYCLES};
 use crate::shared::Artifacts;
 use crate::tile::{column_sync, pallet_sync, PalletOutcome};
 
@@ -80,13 +84,14 @@ pub fn simulate_layer_shared(
     let reads = column_reads(spec);
     let pass = |chunk: &[RowVisit]| weighted_pass(cfg, spec, sched, &dispatcher, &reads, chunk);
     let totals = if cfg.sync == SyncPolicy::PerPallet {
-        fan_out(&visits, spec.filter.x * spec.input.bricks_deep(), pass)
+        fan_out(&visits, visits.len() * spec.filter.x * spec.input.bricks_deep(), pass)
     } else {
+        assert_walk_fits(spec);
+        let batches = column_batches(&selected);
+        let grid = CostGrid::new(spec, sched);
+        let walk = |chunk: &[Vec<PalletRef>]| simulate_pallets(cfg, spec, &grid, chunk);
         // The pass only counts terms here, a small fraction of the walk.
-        let steps = brick_steps(spec);
-        pass(&visits).add(fan_out(&selected, steps.len(), |chunk| {
-            simulate_pallets(cfg, spec, sched, &steps, chunk)
-        }))
+        pass(&visits).add(fan_out(&batches, selected.len() * spec.brick_steps(), walk))
     };
     let base = match traffic {
         Some(t) => *t,
@@ -99,18 +104,16 @@ pub fn simulate_layer_shared(
 /// in the per-column walk — a worker gets. Heavily sampled runs and
 /// small layers stay serial: a worker thread's spawn and join cost more
 /// than a smaller share saves, and nested inside an already-parallel
-/// batch (`pra sweep`'s jobs) they would only add thread churn.
+/// batch (`pra sweep`'s jobs) they would only add thread churn. On two
+/// x86-64 vCPUs, a per-column layer split over two workers broke even
+/// at about 2,000 pallet-steps each and took 0.84× the serial time at
+/// 4,000.
 const MIN_STEPS_PER_WORKER: usize = 4096;
 
-/// Maps contiguous chunks of `items`, `steps_per_item` brick steps each,
-/// on the thread pool, in input order, and sums them in chunk order: the
+/// Maps contiguous chunks of `items`, `steps` brick steps in all, on
+/// the thread pool, in input order, and sums them in chunk order: the
 /// same deterministic reduction `pra sweep` pins down for its job rows.
-fn fan_out<T: Sync>(
-    items: &[T],
-    steps_per_item: usize,
-    f: impl Fn(&[T]) -> Totals + Sync,
-) -> Totals {
-    let steps = items.len() * steps_per_item;
+fn fan_out<T: Sync>(items: &[T], steps: usize, f: impl Fn(&[T]) -> Totals + Sync) -> Totals {
     let workers = rayon::current_num_threads().min(steps / MIN_STEPS_PER_WORKER).max(1);
     if workers == 1 {
         return f(items);
@@ -247,66 +250,243 @@ fn lane_entries<'a>(
     (lanes, words.iter().step_by(spec.stride).take(n))
 }
 
-/// Per-column sync over a slice of pallets: every pallet is walked step
-/// by step, since the per-set recurrence couples the columns. The
-/// step-indexed buffers are sized once per call; the loop body itself
-/// performs no heap allocation — each pallet-step is one slice of the
-/// schedule table and the sync is a per-step recurrence.
+/// Pallets the per-column walk advances side by side: each column's
+/// state across a batch is one `[i32; BATCH]`, two SSE registers at the
+/// default x86-64 target.
+const BATCH: usize = 8;
+
+/// One `i32` per pallet of a batch.
+type Lanes = [i32; BATCH];
+
+/// Most cycles a column's ready time grows by in one brick step: the
+/// longest brick, one cycle waiting for a free SSR and one for the load
+/// slot.
+const MAX_STEP_GROWTH: usize = MAX_CYCLES as usize + 2;
+
+/// Panics unless every `i32` of the per-column walk fits on `spec`:
+/// ready times stay below `steps × MAX_STEP_GROWTH`, and a pallet's
+/// stall sum, at most its 16 columns' ready times, below 16 times that.
+/// Release builds wrap on overflow, so a layer this large must fail here
+/// rather than count wrong.
+fn assert_walk_fits(spec: &ConvLayerSpec) {
+    let steps = spec.brick_steps();
+    let most = steps.checked_mul(MAX_STEP_GROWTH * PALLET);
+    assert!(
+        most.is_some_and(|n| n <= i32::MAX as usize),
+        "{}: {steps} brick steps overflow the per-column walk's i32 cycle counts",
+        spec.name()
+    );
+}
+
+/// Groups `pallets` into batches of up to [`BATCH`] of one pallet
+/// column (so one lane count), window rows ascending: what
+/// [`CostGrid::walk`] reads as contiguous runs.
+fn column_batches(pallets: &[PalletRef]) -> Vec<Vec<PalletRef>> {
+    let mut by_column = pallets.to_vec();
+    by_column.sort_by_key(|p| (p.wx0, p.wy));
+    by_column
+        .chunk_by(|a, b| a.wx0 == b.wx0)
+        .flat_map(|g| g.chunks(BATCH))
+        .map(<[_]>::to_vec)
+        .collect()
+}
+
+/// Per-column sync over whole batches (see [`column_batches`]). Each
+/// batch is walked step-major: for every brick step, [`CostGrid::walk`]
+/// reads the batch's `16 × BATCH` column costs, then [`ColumnSync`]
+/// advances every pallet's recurrence by one set. Results equal
+/// [`column_sync`] on each pallet alone; nothing is allocated per step.
 fn simulate_pallets(
     cfg: &PraConfig,
     spec: &ConvLayerSpec,
-    sched: &LayerScheduler,
-    steps: &[BrickStep],
-    pallets: &[PalletRef],
+    grid: &CostGrid,
+    batches: &[Vec<PalletRef>],
 ) -> Totals {
-    let mut bufs = SyncBuffers::new(steps.len());
+    let ssrs = match cfg.sync {
+        SyncPolicy::PerColumn { ssrs } => Some(ssrs),
+        SyncPolicy::PerColumnIdeal => None,
+        SyncPolicy::PerPallet => unreachable!("pallet sync is the weighted pass"),
+    };
     let mut t = Totals::default();
-    for pallet in pallets {
-        bufs.clear();
-        for &step in steps {
-            let mut per_col = [0u32; 16];
-            let (lanes, entries) = lane_entries(spec, sched, *pallet, step);
-            for (slot, &e) in per_col[lanes].iter_mut().zip(entries) {
-                *slot = e >> 16;
-            }
-            bufs.col_cycles.push(per_col);
+    let mut gates = Vec::new();
+    for batch in batches {
+        let active = batch[0].lanes;
+        let mut sync = ColumnSync::new(ssrs, spec.brick_steps(), &mut gates);
+        grid.walk(spec, batch, |cost| sync.step(cost, active));
+        for p in 0..batch.len() {
+            let (cycles, stalls) = sync.outcome(p, active);
+            t.cycles += cycles;
+            t.sb_stalls += stalls;
         }
-        t.add_pallet(bufs.sync(cfg, pallet.lanes));
     }
     t
 }
 
-/// One pallet's step-indexed sync inputs, reused across pallets.
-struct SyncBuffers {
-    col_cycles: Vec<[u32; 16]>,
-    /// NM fetch cycles per step; only per-pallet sync reads them, and
-    /// only the per-fetch oracle syncs per pallet by walking.
-    nmc: Vec<u64>,
-    /// Per-column sync's scratch (see [`column_sync`]).
-    freed: Vec<(u64, usize)>,
+/// The per-column walk's copy of a layer's schedule table: each brick's
+/// `max(cycles, 1)`, padding written out as the one cycle it costs, laid
+/// out so that a batch — one pallet column, consecutive window rows —
+/// reads each lane's costs as one contiguous run. No step looks up its
+/// in-bounds lanes: a padded lane reads a padding cell.
+///
+/// Window row `wy` reads input row `wy·S − pad + fy`; with `r = fy mod
+/// S` and `j = wy + fy div S` that is `j·S + r − pad`, so cell
+/// `(r, ib, x + pad, j)` holds the brick at that row, channel brick `ib`
+/// and column `x`. `j` is innermost: consecutive window rows read
+/// consecutive cells. There are `BATCH − 1` rows past the last window
+/// row's reach, so a short batch reads a whole run too.
+struct CostGrid {
+    cells: Vec<i32>,
+    depth: usize,
+    width: usize,
+    rows: usize,
 }
 
-impl SyncBuffers {
-    fn new(steps: usize) -> Self {
-        Self {
-            col_cycles: Vec::with_capacity(steps),
-            nmc: Vec::with_capacity(steps),
-            freed: Vec::with_capacity(steps),
+impl CostGrid {
+    fn new(spec: &ConvLayerSpec, sched: &LayerScheduler) -> Self {
+        let (s, pad, input) = (spec.stride, spec.padding, spec.input);
+        let residues = s.min(spec.filter.y);
+        let depth = input.bricks_deep();
+        let width = input.x + 2 * pad;
+        let rows = spec.out_y() + BATCH - 1 + (spec.filter.y - 1) / s;
+        let mut cells = vec![1; residues * depth * width * rows];
+        for r in 0..residues {
+            for j in 0..rows {
+                let Some(y) = (j * s + r).checked_sub(pad).filter(|&y| y < input.y) else {
+                    continue;
+                };
+                for ib in 0..depth {
+                    let first = ((r * depth + ib) * width + pad) * rows + j;
+                    let cells = cells[first..].iter_mut().step_by(rows);
+                    for (cell, &w) in cells.zip(sched.row(y, ib)) {
+                        *cell = (w >> 16).max(1) as i32;
+                    }
+                }
+            }
         }
+        Self { cells, depth, width, rows }
     }
 
-    fn clear(&mut self) {
-        self.col_cycles.clear();
-        self.nmc.clear();
+    /// Feeds `step` every brick step of `batch` (pallets of one pallet
+    /// column) in [`brick_steps`] order, as a `16 × BATCH` block of
+    /// column costs. Slots past a short batch repeat real cells, and
+    /// lanes past its lane count are left as they are: the recurrence
+    /// reads neither.
+    fn walk(
+        &self,
+        spec: &ConvLayerSpec,
+        batch: &[PalletRef],
+        mut step: impl FnMut(&[Lanes; PALLET]),
+    ) {
+        let s = spec.stride;
+        let (wx0, lanes) = (batch[0].wx0, batch[0].lanes);
+        let wy: [usize; BATCH] = std::array::from_fn(|p| batch.get(p).unwrap_or(&batch[0]).wy);
+        let consecutive = batch.iter().zip(0..).all(|(q, p)| q.wy == batch[0].wy + p);
+        let mut cost = [[1; BATCH]; PALLET];
+        for fy in 0..spec.filter.y {
+            let (r, rise) = (fy % s, fy / s);
+            for fx in 0..spec.filter.x {
+                for ib in 0..self.depth {
+                    let plane = (r * self.depth + ib) * self.width;
+                    for (c, lane) in cost.iter_mut().enumerate().take(lanes) {
+                        let first = (plane + (wx0 + c) * s + fx) * self.rows + rise;
+                        let run = &self.cells[first..first + self.rows - rise];
+                        if consecutive {
+                            lane.copy_from_slice(&run[wy[0]..wy[0] + BATCH]);
+                        } else {
+                            for (slot, &j) in lane.iter_mut().zip(&wy) {
+                                *slot = run[j];
+                            }
+                        }
+                    }
+                    step(&cost);
+                }
+            }
+        }
+    }
+}
+
+/// [`column_sync`]'s recurrence over a batch of pallets that share
+/// `active` lanes, one set at a time, pallet index innermost and free
+/// of data-dependent branches (selects for the loader and the last
+/// copier), so the compiler vectorizes it across pallets. `ready[c][p]`
+/// is when column `c` of pallet `p` finished its previous set, and
+/// `stalls[p]` sums its columns' waits.
+///
+/// `gates` keeps the `(F, f)` pairs of the last `k` sets only, as a
+/// ring: the slot set `s` reads holds set `s − k`'s pair, and set `s`
+/// overwrites it. Slots start at `(−1, −1)`, which gates nothing. The
+/// ideal policy has no ring: every column runs alone.
+struct ColumnSync<'a> {
+    ready: [Lanes; PALLET],
+    stalls: Lanes,
+    gates: &'a mut Vec<(Lanes, Lanes)>,
+    slot: usize,
+}
+
+impl<'a> ColumnSync<'a> {
+    /// A batch about to walk `steps` sets with `ssrs` SSRs (`None`:
+    /// ideal), reusing `gates`' allocation.
+    fn new(ssrs: Option<usize>, steps: usize, gates: &'a mut Vec<(Lanes, Lanes)>) -> Self {
+        gates.clear();
+        if let Some(k) = ssrs {
+            assert!(k >= 1, "per-column sync needs at least one SSR");
+            gates.resize(k.min(steps), ([-1; BATCH], [-1; BATCH]));
+        }
+        Self { ready: [[0; BATCH]; PALLET], stalls: [0; BATCH], gates, slot: 0 }
     }
 
-    fn sync(&mut self, cfg: &PraConfig, lanes: usize) -> PalletOutcome {
-        let cols = &self.col_cycles;
-        match cfg.sync {
-            SyncPolicy::PerPallet => pallet_sync(cols, &self.nmc),
-            SyncPolicy::PerColumn { ssrs } => column_sync(cols, lanes, Some(ssrs), &mut self.freed),
-            SyncPolicy::PerColumnIdeal => column_sync(cols, lanes, None, &mut self.freed),
+    /// Advances every pallet by one set whose column costs, each at
+    /// least 1, are `cost`; lanes from `active` on are not read.
+    fn step(&mut self, cost: &[Lanes; PALLET], active: usize) {
+        let ready = &mut self.ready;
+        let Some(&(gate_at, gate_col)) = self.gates.get(self.slot) else {
+            for (r, c) in ready.iter_mut().zip(cost).take(active) {
+                for p in 0..BATCH {
+                    r[p] += c[p];
+                }
+            }
+            return;
+        };
+        // A column can read the set from SB once its SSR frees: cycle
+        // `F`, or `F + 1` for columns up to the last copier `f`.
+        let attempt = |ready: &[Lanes; PALLET], c: usize, p: usize| {
+            ready[c][p].max(gate_at[p] + i32::from(c as i32 <= gate_col[p]))
+        };
+        // The loader: the smallest `(attempt, index)`.
+        let mut load_at: Lanes = std::array::from_fn(|p| attempt(ready, 0, p));
+        let mut loader = [0; BATCH];
+        for c in 1..active {
+            for p in 0..BATCH {
+                let a = attempt(ready, c, p);
+                let earlier = a < load_at[p];
+                load_at[p] = if earlier { a } else { load_at[p] };
+                loader[p] = if earlier { c as i32 } else { loader[p] };
+            }
         }
+        // Every column copies the set, columns before the loader one
+        // cycle after it; the last copy, highest index on ties, frees
+        // the SSR.
+        let (mut last_at, mut last_col) = ([0; BATCH], [0; BATCH]);
+        for c in 0..active {
+            for p in 0..BATCH {
+                let r = ready[c][p];
+                let acquire = r.max(load_at[p] + i32::from((c as i32) < loader[p]));
+                self.stalls[p] += acquire - r;
+                ready[c][p] = acquire + cost[c][p];
+                let later = acquire >= last_at[p];
+                last_at[p] = if later { acquire } else { last_at[p] };
+                last_col[p] = if later { c as i32 } else { last_col[p] };
+            }
+        }
+        self.gates[self.slot] = (last_at, last_col);
+        self.slot = if self.slot + 1 == self.gates.len() { 0 } else { self.slot + 1 };
+    }
+
+    /// Pallet `p`'s cycles (its last column's ready time) and stall sum.
+    fn outcome(&self, p: usize, active: usize) -> (u64, u64) {
+        let cycles = self.ready[..active].iter().map(|r| r[p]).max().unwrap_or(0);
+        let count = |v: i32| u64::try_from(v).expect("assert_walk_fits keeps counts non-negative");
+        (count(cycles), count(self.stalls[p]))
     }
 }
 
@@ -359,9 +539,12 @@ pub fn simulate_layer_raw(cfg: &PraConfig, layer: &LayerWorkload) -> LayerResult
     let (selected, total, sampled) = select_pallets(cfg, spec);
 
     let mut t = Totals::default();
-    let mut bufs = SyncBuffers::new(steps.len());
+    // Step-indexed sync inputs and per-column sync's scratch, reused
+    // across pallets. Only pallet sync reads the NM fetch cycles.
+    let (mut cols, mut nmc, mut freed) = (Vec::with_capacity(steps.len()), Vec::new(), Vec::new());
     for pallet in &selected {
-        bufs.clear();
+        cols.clear();
+        nmc.clear();
         for step in &steps {
             let bricks = fetch_pallet_step(spec, &layer.neurons, *pallet, *step);
             let mut per_col = [0u32; 16];
@@ -370,12 +553,18 @@ pub fn simulate_layer_raw(cfg: &PraConfig, layer: &LayerWorkload) -> LayerResult
                 per_col[col] = sched.cycles;
                 t.oneffsets += u64::from(sched.terms);
             }
-            bufs.col_cycles.push(per_col);
+            cols.push(per_col);
             if cfg.sync == SyncPolicy::PerPallet {
-                bufs.nmc.push(dispatcher.fetch_cycles(spec, *pallet, *step));
+                nmc.push(dispatcher.fetch_cycles(spec, *pallet, *step));
             }
         }
-        t.add_pallet(bufs.sync(cfg, pallet.lanes));
+        t.add_pallet(match cfg.sync {
+            SyncPolicy::PerPallet => pallet_sync(&cols, &nmc),
+            SyncPolicy::PerColumn { ssrs } => {
+                column_sync(&cols, pallet.lanes, Some(ssrs), &mut freed)
+            }
+            SyncPolicy::PerColumnIdeal => column_sync(&cols, pallet.lanes, None, &mut freed),
+        });
     }
     finish_layer(cfg, spec, shared_traffic(&cfg.chip, spec, &dispatcher), t, total, sampled)
 }
@@ -449,6 +638,7 @@ mod tests {
     use pra_sim::ChipConfig;
     use pra_tensor::{ConvLayerSpec, Tensor3};
     use pra_workloads::Representation;
+    use proptest::prelude::*;
 
     fn toy_layer(fill: impl FnMut(usize, usize, usize) -> u16) -> LayerWorkload {
         let spec = ConvLayerSpec::new("toy", (32, 8, 32), (3, 3), 64, 1, 1).unwrap();
@@ -615,6 +805,61 @@ mod tests {
         // 8 oneffsets per neuron vs DaDN's 1 cycle/brick-step/window with
         // 16-way window parallelism -> exactly half of DaDN's 16.
         assert_eq!(r.cycles, dadn / 2);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// The batch kernel equals [`column_sync`] on each pallet alone,
+        /// cycles and stalls: random costs 0–17, 1–16 lanes (the lanes
+        /// past them and the slots past the filled pallets hold costs of
+        /// their own), 1, 2, 4 or 16 SSRs or the ideal policy, and a
+        /// second, shorter batch reusing the first one's ring.
+        #[test]
+        fn batch_kernel_equals_scalar_column_sync(
+            blocks in prop::collection::vec(
+                prop::array::uniform16(prop::array::uniform8(0u32..=17)),
+                1..41,
+            ),
+            active in 1usize..=16,
+            filled in 1usize..=BATCH,
+            ssrs in prop_oneof![
+                Just(Some(1usize)),
+                Just(Some(2usize)),
+                Just(Some(4usize)),
+                Just(Some(16usize)),
+                Just(None),
+            ],
+        ) {
+            let mut gates = Vec::new();
+            for blocks in [&blocks[..], &blocks[blocks.len() / 2..]] {
+                let mut sync = ColumnSync::new(ssrs, blocks.len(), &mut gates);
+                for block in blocks {
+                    sync.step(&block.map(|lane| lane.map(|c| c.max(1) as i32)), active);
+                }
+                for p in 0..filled {
+                    let cols: Vec<[u32; 16]> =
+                        blocks.iter().map(|b| std::array::from_fn(|c| b[c][p])).collect();
+                    let want = column_sync(&cols, active, ssrs, &mut Vec::new());
+                    prop_assert_eq!(
+                        sync.outcome(p, active),
+                        (want.cycles, want.sb_stall_cycles),
+                        "pallet {} of {}, {} steps, {} lanes, {:?} SSRs",
+                        p, filled, blocks.len(), active, ssrs
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn walk_admits_exactly_the_layers_its_counts_fit() {
+        let deep = |steps: usize| {
+            ConvLayerSpec::new("deep", (1, 1, 16 * steps), (1, 1), 16, 1, 0).unwrap()
+        };
+        let most = i32::MAX as usize / (MAX_STEP_GROWTH * PALLET);
+        assert_walk_fits(&deep(most));
+        assert!(std::panic::catch_unwind(|| assert_walk_fits(&deep(most + 1))).is_err());
     }
 
     #[test]

@@ -88,13 +88,33 @@ fn memoized_equals_raw_across_sync_policies() {
     }
 }
 
+/// AlexNet conv1's shape: stride 4 and 55 windows per row, so each row
+/// has three full pallets and a 7-lane one, and each pallet column 55
+/// window rows, which per-column sync walks as six batches of eight and
+/// one of seven.
+fn strided_layer() -> LayerWorkload {
+    let spec = ConvLayerSpec::new("strided", (227, 227, 3), (11, 11), 16, 4, 0).unwrap();
+    LayerWorkload {
+        neurons: Tensor3::from_fn(spec.input, |x, y, i| ((x * 53 + y * 97 + i * 11) % 1500) as u16),
+        spec,
+        window: PrecisionWindow::with_width(11, 0),
+        stripes_precision: 11,
+    }
+}
+
 #[test]
 fn memoized_equals_raw_on_ragged_geometry_and_sampling() {
-    let layer = ragged_layer();
-    let cfg = PraConfig::two_stage(2, Representation::Fixed16);
-    assert_identical(&cfg, &layer, "ragged full");
-    let sampled = cfg.with_fidelity(Fidelity::Sampled { max_pallets: 3 });
-    assert_identical(&sampled, &layer, "ragged sampled");
+    // The strided layer's 40-pallet sample spreads over every pallet
+    // column, full and ragged, at scattered window rows.
+    for (layer, sample) in [(ragged_layer(), 3), (strided_layer(), 40)] {
+        for sync in [SyncPolicy::PerPallet, SyncPolicy::PerColumn { ssrs: 2 }] {
+            let cfg = PraConfig { sync, ..PraConfig::two_stage(2, Representation::Fixed16) };
+            let name = layer.spec.name();
+            assert_identical(&cfg, &layer, &format!("{name} full, {sync}"));
+            let sampled = cfg.with_fidelity(Fidelity::Sampled { max_pallets: sample });
+            assert_identical(&sampled, &layer, &format!("{name} sampled, {sync}"));
+        }
+    }
 }
 
 #[test]
@@ -115,9 +135,10 @@ fn memoized_equals_raw_for_quant8() {
 #[test]
 fn pallet_parallel_equals_serial() {
     // 64 pallets (64×16 windows, four per row) of 144 brick steps give
-    // per-column sync's walk two contiguous chunks at any thread count
-    // ≥ 2 (a worker gets at least 4,096 pallet-steps), so its
-    // order-preserving reduction runs for real and must match the
+    // per-column sync's walk eight batches (four pallet columns of 16
+    // window rows) and two contiguous chunks of whole batches at any
+    // thread count ≥ 2 (a worker gets at least 4,096 pallet-steps), so
+    // its order-preserving reduction runs for real and must match the
     // serial oracle bit for bit; `weighted_pass.rs` pins the pallet-sync
     // pass's row chunks the same way. CI runs this file at
     // RAYON_NUM_THREADS = 1, 2 and 8.

@@ -199,8 +199,8 @@ fn every_sample_size_equals_the_walk() {
 /// more — a worker gets at least 4,096 brick steps — so both
 /// order-preserving reductions run for real: 4 pallet columns × 50
 /// input rows = 200 visits of 3 × 16 distinct steps each (9,600) for
-/// the pass, and 192 pallets of 144 steps (27,648) for the per-column
-/// walk.
+/// the pass, and 192 pallets of 144 steps (27,648), in 24 batches of
+/// eight, for the per-column walk.
 #[test]
 fn row_chunked_pass_equals_the_serial_walk() {
     let spec = ConvLayerSpec::new("wide", (64, 48, 256), (3, 3), 64, 1, 1).unwrap();

@@ -73,7 +73,7 @@ pub struct ServiceStats {
     /// Requests answered `shed:deadline` after their per-request
     /// deadline expired.
     pub deadline_expired: AtomicU64,
-    /// Milliseconds of blocking artifact work paid by batch workers, the
+    /// Microseconds of blocking artifact work paid by batch workers, the
     /// same for v1 and v2 batches: on a pool miss, the resolve — key
     /// derivation, the encoded-tier probe (on a hit, the whole decode of
     /// the schedule tables) and the traffic-table probe; on a miss, also
@@ -83,8 +83,9 @@ pub struct ServiceStats {
     /// thread and is not counted, nor is time spent waiting on another
     /// worker's build of the same key. A warm disk store collapses this
     /// to the encoded-entry decode — the CI `warm-start-smoke` gate pins
-    /// that collapse.
-    pub encode_ms: AtomicU64,
+    /// that collapse. Kept in microseconds so that a sub-millisecond
+    /// warm resolve still counts; the snapshot reports milliseconds.
+    pub encode_us: AtomicU64,
     /// Batches whose shared encoded artifacts loaded from the store's
     /// disk tier instead of being rebuilt from the workload.
     pub encoded_hits: AtomicU64,
@@ -100,6 +101,14 @@ pub struct ServiceStats {
 }
 
 impl ServiceStats {
+    /// Adds one batch's blocking artifact work to `encode_us`.
+    fn add_encode(&self, d: Duration) {
+        let us = u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
+        // relaxed-ok: monotonic stat counter; nothing synchronizes
+        // through it.
+        self.encode_us.fetch_add(us, Ordering::Relaxed);
+    }
+
     /// A point-in-time copy, rendered over the wire by the `stats`
     /// control request.
     pub fn snapshot(&self) -> StatsSnapshot {
@@ -116,7 +125,7 @@ impl ServiceStats {
             connections_shed: ld(&self.connections_shed),
             worker_restarts: ld(&self.worker_restarts),
             deadline_expired: ld(&self.deadline_expired),
-            encode_ms: ld(&self.encode_ms),
+            encode_ms: ld(&self.encode_us) / 1000,
             encoded_hits: ld(&self.encoded_hits),
             workload_loads: ld(&self.workload_loads),
             shard: ld(&self.shard),
@@ -555,10 +564,9 @@ fn run_batch(
         pool.lookup(&std_cfgs, key.network, key.repr, key.seed).ok_or(None)
     };
     // Blocking artifact work (everything that is not simulation) is
-    // accumulated into `encode_ms`; waiting on another worker's claim
+    // accumulated into `encode_us`; waiting on another worker's claim
     // and the overlapped portion of a pipelined build are deliberately
     // excluded — neither is work this batch does.
-    let ms_since = |t: Instant| t.elapsed().as_millis() as u64;
     let t = Instant::now();
     let (pooled, claim) = match found {
         Ok(shared) => {
@@ -579,7 +587,7 @@ fn run_batch(
         let (net, repr, seed) = (key.network, key.repr, key.seed);
         (claim, SharedEncodedNetwork::resolve(&std_cfgs, net, repr, seed, &cfg.store, source))
     });
-    let mut build_ms = ms_since(t);
+    let mut build_time = t.elapsed();
 
     // Each distinct PRA engine simulates exactly once, through the one
     // runner. The first (the lead) streams every finished layer as a
@@ -620,15 +628,13 @@ fn run_batch(
             // `finish` publishes whatever the store missed.
             let t = Instant::now();
             let shared = Arc::new(build.finish(&cfg.store));
-            build_ms += ms_since(t);
+            build_time += t.elapsed();
             claim.insert(Arc::clone(&shared));
             Some(shared)
         }
         None => pooled,
     };
-    // relaxed-ok: monotonic stat counters; nothing synchronizes
-    // through them.
-    stats.encode_ms.fetch_add(build_ms, Ordering::Relaxed);
+    stats.add_encode(build_time);
     if encoded_hit {
         // relaxed-ok: monotonic stat counter; nothing synchronizes
         // through it.
@@ -827,6 +833,15 @@ mod tests {
         let snap = svc.stats().snapshot();
         assert_eq!((snap.accepted, snap.answered, snap.worker_restarts), (5, 5, 0));
         svc.shutdown();
+    }
+
+    #[test]
+    fn sub_millisecond_encodes_add_up() {
+        let stats = ServiceStats::default();
+        for _ in 0..3 {
+            stats.add_encode(Duration::from_micros(400));
+        }
+        assert_eq!(stats.snapshot().encode_ms, 1);
     }
 
     #[test]
