@@ -52,9 +52,6 @@ pub struct SweepConfig {
     pub seed: u64,
     /// Simulation fidelity for the cycle-level engines.
     pub fidelity: Fidelity,
-    /// Run jobs on the parallel pool (`false` forces the serial path;
-    /// results are identical, only scheduling differs).
-    pub parallel: bool,
     /// The tiered artifact store every job resolves through
     /// (DESIGN.md §9, §15): workload streams, traffic tables and
     /// schedule tables. `ArtifactStore::at_default().no_disk()`
@@ -71,7 +68,6 @@ impl SweepConfig {
             representations: vec![Representation::Fixed16, Representation::Quant8],
             seed: crate::SEED,
             fidelity: crate::fidelity(),
-            parallel: true,
             store: ArtifactStore::at_default(),
         }
     }
@@ -112,12 +108,14 @@ pub struct JobTiming {
     pub gen_ms: f64,
     /// Milliseconds resolving the shared artifacts, `gen_ms` aside: key
     /// derivation, the encoded-tier probe — on a hit, the whole decode
-    /// of the schedule tables — and the traffic-table probe; on a miss,
-    /// also starting the pipelined build. Scheduling the tables cold
-    /// runs on the builder thread while Phase 3 simulates and is not
-    /// counted here.
+    /// of the schedule tables — and the traffic table's load, or its
+    /// count from geometry. On a miss the lead configuration's run
+    /// schedules each layer's tables as it reaches them, so cold
+    /// scheduling counts in `sim_ms`, not here.
     pub encode_ms: f64,
-    /// Milliseconds running every engine against the shared artifacts.
+    /// Milliseconds running every engine against the shared artifacts —
+    /// on an `en` miss, including the lead run's scheduling of each
+    /// layer it reaches first.
     pub sim_ms: f64,
     /// Wall-clock milliseconds for the whole job, as observed on its
     /// worker thread. Jobs running concurrently contend for cores (and
@@ -226,9 +224,7 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepOutcome {
         // miss sources the workload, exactly once — from the
         // content-addressed store when a valid entry exists (bit-
         // identical by the round-trip guarantee), regenerated and
-        // published otherwise — and starts the pipelined build over it,
-        // whose table scheduling rides the builder thread and overlaps
-        // Phase 3's lead simulation.
+        // published otherwise — for the runs to schedule its layers from.
         let configs = pra_configs(repr, cfg.fidelity);
         let (mut gen_ms, mut cache_outcome) = (0.0, CacheOutcome::Hit);
         let source = || {
@@ -242,21 +238,20 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepOutcome {
         let encode_ms = ms(start) - gen_ms;
 
         // Phase 3 — every engine runs from the neuron-free layer views.
-        // The lead PRA configuration consumes the build layer by layer
-        // (simulating layer n while a cold build schedules layer n+1; a
-        // warm build is complete already); the remaining configurations
-        // follow over the then-complete layers.
+        // On an `en` miss the lead PRA configuration schedules each layer
+        // as it reaches it (a warm build is complete already); the
+        // remaining configurations reuse those tables.
         let sim_start = Instant::now();
         let views = layer_views(net, repr);
         let pra_results: Vec<pra_sim::RunResult> = configs
             .iter()
-            .map(|pra_cfg| pra_core::run_shared(pra_cfg, &views, &build, |_, _| {}))
+            .map(|pra_cfg| pra_core::run_shared(pra_cfg, &views, build.network(), |_, _| {}))
             .collect();
         let pra_ms = ms(sim_start);
 
-        // The builder has resolved both tiers by now; `finish` (untimed:
-        // publication is I/O, not simulation) publishes whatever the
-        // store missed.
+        // Both tiers were probed when the build started; `finish`
+        // (untimed: publication is I/O, not simulation) publishes
+        // whatever the store missed.
         let encoded_outcome = build.encoded_outcome();
         let traffic_outcome = build.traffic_outcome();
         let shared = build.finish(&cfg.store);
@@ -300,11 +295,7 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepOutcome {
         (rows, timing)
     };
 
-    let nested: Vec<(Vec<SweepRow>, JobTiming)> = if cfg.parallel {
-        jobs.into_par_iter().map(run_job).collect()
-    } else {
-        jobs.into_iter().map(run_job).collect()
-    };
+    let nested: Vec<(Vec<SweepRow>, JobTiming)> = jobs.into_par_iter().map(run_job).collect();
     let total_wall_ms = sweep_start.elapsed().as_secs_f64() * 1e3;
 
     let mut rows = Vec::new();
@@ -641,13 +632,12 @@ mod tests {
     /// diskless so these tests never couple to on-disk state; the
     /// dedicated cache tests below cover the tiered path with scratch
     /// dirs.
-    fn small_config(parallel: bool) -> SweepConfig {
+    fn small_config() -> SweepConfig {
         SweepConfig {
             networks: vec![Network::AlexNet, Network::NiN],
             representations: vec![Representation::Fixed16],
             seed: 0x00DE_C0DE,
             fidelity: Fidelity::Sampled { max_pallets: 4 },
-            parallel,
             store: ArtifactStore::at_default().no_disk(),
         }
     }
@@ -668,13 +658,9 @@ mod tests {
             .tier(ArtifactKind::Encoded)
     }
 
-    fn sort_key(r: &SweepRow) -> (String, String, String) {
-        (r.network.clone(), r.repr.clone(), r.engine.clone())
-    }
-
     #[test]
     fn every_network_gets_a_row_for_every_engine() {
-        let out = run_sweep(&small_config(true));
+        let out = run_sweep(&small_config());
         assert_eq!(out.jobs, 2);
         let engines = engine_labels(Representation::Fixed16);
         assert_eq!(out.rows.len(), 2 * engines.len());
@@ -693,7 +679,7 @@ mod tests {
 
     #[test]
     fn dadn_rows_have_unit_speedup_and_pra_beats_it() {
-        let out = run_sweep(&small_config(true));
+        let out = run_sweep(&small_config());
         for row in &out.rows {
             if row.engine == "DaDN" {
                 assert!((row.speedup - 1.0).abs() < 1e-12);
@@ -705,31 +691,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_equals_serial_after_sorting() {
-        let par = run_sweep(&small_config(true));
-        let ser = run_sweep(&small_config(false));
-        let mut par_rows = par.rows;
-        let mut ser_rows = ser.rows;
-        par_rows.sort_by_key(sort_key);
-        ser_rows.sort_by_key(sort_key);
-        assert_eq!(par_rows, ser_rows);
-    }
-
-    #[test]
-    fn parallel_preserves_job_order_even_unsorted() {
-        // The shim's parallel map is order-preserving, so the stronger
-        // property holds too: identical row order without sorting.
-        let par = run_sweep(&small_config(true));
-        let ser = run_sweep(&small_config(false));
-        assert_eq!(par.rows, ser.rows);
-    }
-
-    #[test]
     fn sweep_is_deterministic_in_seed() {
-        let a = run_sweep(&small_config(true));
-        let b = run_sweep(&small_config(true));
+        let a = run_sweep(&small_config());
+        let b = run_sweep(&small_config());
         assert_eq!(a.rows, b.rows);
-        let mut other = small_config(true);
+        let mut other = small_config();
         other.seed ^= 1;
         let c = run_sweep(&other);
         assert_ne!(a.rows, c.rows, "different seed must change some cycle count");
@@ -737,7 +703,7 @@ mod tests {
 
     #[test]
     fn every_job_reports_a_timing() {
-        let out = run_sweep(&small_config(true));
+        let out = run_sweep(&small_config());
         assert_eq!(out.timings.len(), out.jobs);
         for t in &out.timings {
             assert!(t.wall_ms > 0.0, "{}/{} has zero wall time", t.network, t.repr);
@@ -760,7 +726,7 @@ mod tests {
 
     #[test]
     fn bench_json_contains_every_row_and_the_totals() {
-        let out = run_sweep(&small_config(false));
+        let out = run_sweep(&small_config());
         let body = bench_json(&out);
         assert!(body.contains("\"total_wall_ms\""));
         assert!(body.contains("\"jobs\": 2"));
@@ -784,7 +750,7 @@ mod tests {
     #[test]
     fn warm_sweep_hits_every_tier_with_identical_rows() {
         let dir = scratch_dir("warm");
-        let mut cfg = small_config(true);
+        let mut cfg = small_config();
         cfg.store = scratch_store(&dir);
         let cold = run_sweep(&cfg);
         assert!(
@@ -819,7 +785,7 @@ mod tests {
     #[test]
     fn a_warm_sweep_reads_no_workload() {
         let dir = scratch_dir("no-wl");
-        let mut cfg = small_config(true);
+        let mut cfg = small_config();
         cfg.store = scratch_store(&dir);
         let cold = run_sweep(&cfg);
         let published = workload_entries(&dir);
@@ -843,13 +809,13 @@ mod tests {
     #[test]
     fn cached_and_uncached_sweeps_agree() {
         let dir = scratch_dir("agree");
-        let mut cached_cfg = small_config(true);
+        let mut cached_cfg = small_config();
         cached_cfg.store = scratch_store(&dir);
         let cached = run_sweep(&cached_cfg);
         // Run the cached config twice so the second pass consumes every
         // tier — warm artifacts must not change a single row either.
         let warm = run_sweep(&cached_cfg);
-        let uncached = run_sweep(&small_config(true));
+        let uncached = run_sweep(&small_config());
         assert_eq!(cached.rows, uncached.rows, "the store must not change any result");
         assert_eq!(warm.rows, uncached.rows, "warm tiers must not change any result");
         for t in &uncached.timings {
@@ -862,7 +828,7 @@ mod tests {
 
     #[test]
     fn phase_totals_and_delta_read_bench_json() {
-        let out = run_sweep(&small_config(false));
+        let out = run_sweep(&small_config());
         let body = bench_json(&out);
         let t = phase_totals(&body).expect("bench.json must parse");
         assert_eq!(t.jobs, out.jobs);
@@ -881,7 +847,7 @@ mod tests {
 
     #[test]
     fn bench_json_is_version_stamped() {
-        let out = run_sweep(&small_config(false));
+        let out = run_sweep(&small_config());
         let body = bench_json(&out);
         assert_eq!(schema_version(&body), Some(BENCH_SCHEMA_VERSION));
         assert!(schema_version("{\"jobs\": 2}").is_none(), "pre-versioned docs have no version");
@@ -889,7 +855,7 @@ mod tests {
 
     #[test]
     fn schema_warnings_flag_preversioned_and_mismatched_docs() {
-        let out = run_sweep(&small_config(false));
+        let out = run_sweep(&small_config());
         let body = bench_json(&out);
         assert!(schema_warnings(&body, &body).is_empty(), "same version, no warning");
         let old = "{\n  \"total_wall_ms\": 1.0,\n  \"job_timings\": []\n}";
@@ -950,7 +916,7 @@ mod tests {
 
     #[test]
     fn csv_rows_match_header_arity() {
-        let out = run_sweep(&small_config(true));
+        let out = run_sweep(&small_config());
         for row in csv_rows(&out.rows) {
             assert_eq!(row.len(), CSV_HEADER.len());
         }
@@ -958,7 +924,7 @@ mod tests {
 
     #[test]
     fn geomean_summary_covers_each_engine_once() {
-        let out = run_sweep(&small_config(true));
+        let out = run_sweep(&small_config());
         let summary = geomean_summary(&out.rows);
         let engines = engine_labels(Representation::Fixed16);
         assert_eq!(summary.len(), engines.len());

@@ -161,7 +161,7 @@ fn dim_bytes(dim: Dim3) -> Vec<u8> {
 /// `wanted`'s. All integers are little-endian; the cache container adds
 /// the integrity trailer.
 pub(crate) fn encode_layers(
-    layers: &[SharedLayer],
+    layers: &[&SharedLayer],
     wanted: &[(EncodingKey, SchedulerConfig)],
 ) -> Vec<u8> {
     let mut out = header(layers.len(), wanted);

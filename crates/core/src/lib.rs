@@ -64,7 +64,7 @@ pub use column::{ScanOrder, SchedulerConfig};
 pub use config::{Encoding, EncodingKey, Fidelity, PraConfig, SyncPolicy};
 pub use schedule::LayerScheduler;
 pub use shared::{
-    ArtifactPool, Artifacts, PipelinedBuild, PoolClaim, SharedEncodedNetwork, StoreOutcomes,
-    TRAFFIC_KIND, TRAFFIC_VERSION,
+    ArtifactPool, PipelinedBuild, PoolClaim, SharedEncodedNetwork, StoreOutcomes, TRAFFIC_KIND,
+    TRAFFIC_VERSION,
 };
 pub use sim::{run_shared, simulate_layer, simulate_layer_raw, simulate_layer_shared};

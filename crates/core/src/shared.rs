@@ -30,23 +30,25 @@
 //!   and static layer geometry (never the neurons), shared across
 //!   fidelities.
 //!
-//! There is one build: [`SharedEncodedNetwork::start_pipelined`] runs
-//! the per-layer loop on a background thread,
-//! [`SharedEncodedNetwork::from_workload_stored`] runs the same loop
-//! inline, and both end in [`PipelinedBuild::finish`] — the only place
-//! either tier is published. [`SharedEncodedNetwork::resolve`] is how a
-//! stored build starts: it probes the `en` tier from `(network, repr,
-//! seed)` alone and reads or generates the workload only when the entry
-//! misses. [`ArtifactPool`] sits above it as the in-memory tier, so
-//! resolution runs pool → `en` → `wl` → generate.
+//! There is one build, and it runs on its callers' threads. It starts
+//! by probing both tiers: the traffic table loads from `tr` or is
+//! counted from geometry, and an `en` hit fills every layer's slot with
+//! its decoded tables. On an `en` miss each slot stays empty until the
+//! first caller of [`SharedEncodedNetwork::artifacts`] for that layer
+//! schedules it from the workload, so a streamed run's first layer waits
+//! for layer 0's tables only. [`PipelinedBuild::finish`] schedules what
+//! no run reached and is the only place either tier is published.
+//! [`SharedEncodedNetwork::resolve`] starts a stored build from
+//! `(network, repr, seed)` alone and reads or generates the workload
+//! only when the `en` entry misses. [`ArtifactPool`] sits above it as the
+//! in-memory tier, so resolution runs pool → `en` → `wl` → generate.
 
-use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use pra_engines::shared_traffic;
 use pra_sim::{AccessCounters, ChipConfig, Dispatcher, NeuronMemory, NmLayout};
-use pra_tensor::{ConvLayerSpec, Dim3};
-use pra_workloads::cache::{ArtifactKind, ArtifactStore, Cache, CacheKey, CacheOutcome, KeyHasher};
+use pra_tensor::ConvLayerSpec;
+use pra_workloads::cache::{ArtifactKind, ArtifactStore, CacheKey, CacheOutcome, KeyHasher};
 use pra_workloads::{
     layer_views, LayerView, LayerWorkload, Network, NetworkWorkload, Representation,
 };
@@ -131,40 +133,17 @@ fn wanted_pairs(configs: &[PraConfig]) -> Vec<(EncodingKey, SchedulerConfig)> {
     wanted
 }
 
-/// The one scheduler/traffic lookup behind both
-/// [`SharedEncodedNetwork::artifacts`] and [`PipelinedBuild::artifacts`]:
-/// `cfg`'s scheduler, plus the layer's traffic when `cfg` sees the view
-/// it was counted under (unlike schedules, traffic is not keyed by the
-/// scheduler parameters, so the match is checked here).
-///
-/// # Panics
-///
-/// Panics if `cfg`'s representation is not the one the network was
-/// built in, or if the layer has no scheduler for `cfg` — sharing
-/// silently mismatched artifacts would corrupt results.
-fn select(
-    layer: usize,
-    (arts, traffic): (&SharedLayer, &AccessCounters),
-    (view, repr): (Option<TrafficView>, Representation),
-    cfg: &PraConfig,
-) -> (Arc<LayerScheduler>, Option<AccessCounters>) {
-    assert_eq!(cfg.repr, repr, "configuration representation must match the workload");
-    let pair = (cfg.encoding_key(), cfg.scheduler());
-    let sched = arts
-        .schedulers
-        .iter()
-        .find(|(k, s, _)| (*k, *s) == pair)
-        .map(|(_, _, sched)| Arc::clone(sched))
-        .unwrap_or_else(|| {
-            panic!("shared artifacts were not built for {} (layer {layer})", cfg.label())
-        });
-    (sched, (view == Some(TrafficView::of(cfg))).then_some(*traffic))
-}
-
 /// Encode-once, schedule-once artifacts for one workload under a set of
 /// design points (see the module docs).
 pub struct SharedEncodedNetwork {
-    layers: Vec<SharedLayer>,
+    /// One slot per layer: filled from the `en` entry when the build
+    /// starts, else by the first caller that reaches the layer.
+    layers: Vec<OnceLock<SharedLayer>>,
+    /// The workload an empty slot is scheduled from; `None` once every
+    /// slot is filled, so a finished (pooled) network holds no neurons.
+    source: Option<Arc<NetworkWorkload>>,
+    /// The pairs every layer holds a table for, in [`wanted_pairs`] order.
+    wanted: Vec<(EncodingKey, SchedulerConfig)>,
     /// Per-layer NM/SB traffic, counted under `view` (zeroed when the
     /// configurations disagree on one).
     traffic: Vec<AccessCounters>,
@@ -185,15 +164,15 @@ impl SharedEncodedNetwork {
         Self::from_workload_stored(configs, workload, 0, &ArtifactStore::at_default().no_disk()).0
     }
 
-    /// Builds the shared artifacts for `workload` under `configs`
-    /// inline, resolved through the tiered artifact store: the same
-    /// per-layer loop [`SharedEncodedNetwork::start_pipelined`] runs on
-    /// its builder thread, then the same [`PipelinedBuild::finish`]. The
-    /// encoded tier (`"en"`) reads the schedule tables off disk instead
-    /// of scheduling; the traffic tier (`"tr"`) replaces the dispatch
-    /// recount. `seed` is the workload's generator seed — it reaches the
-    /// encoded key through the workload's content address, since
-    /// schedules (unlike traffic) depend on neuron values. A stored
+    /// Builds the shared artifacts for `workload` under `configs`,
+    /// resolved through the tiered artifact store: the build
+    /// [`SharedEncodedNetwork::start_pipelined`] starts, with every
+    /// layer scheduled up front, then the same [`PipelinedBuild::finish`].
+    /// The encoded tier (`"en"`) reads the schedule tables off disk
+    /// instead of scheduling; the traffic tier (`"tr"`) replaces the
+    /// dispatch recount. `seed` is the workload's generator seed — it
+    /// reaches the encoded key through the workload's content address,
+    /// since schedules (unlike traffic) depend on neuron values. A stored
     /// workload derives the same key [`SharedEncodedNetwork::resolve`]
     /// derives without one.
     ///
@@ -210,24 +189,22 @@ impl SharedEncodedNetwork {
         seed: u64,
         store: &ArtifactStore,
     ) -> (Self, StoreOutcomes) {
-        let (network, repr) = (workload.network, workload.repr);
-        let build = PipelinedBuild::plan(configs, network, repr, &workload.views(), seed, store);
-        build_layers(&build.plan, workload, &build.state);
+        let ids = (workload.network, workload.repr);
+        let build = PipelinedBuild::start(configs, ids, &workload.views(), seed, store, || None);
+        let network = &build.network;
+        for (slot, layer) in network.layers.iter().zip(&workload.layers) {
+            slot.get_or_init(|| build_layer_artifacts(&network.wanted, layer));
+        }
         let outcomes =
-            StoreOutcomes { encoded: build.encoded_outcome(), traffic: build.traffic_outcome };
+            StoreOutcomes { encoded: build.encoded_outcome, traffic: build.traffic_outcome };
         (build.finish(store), outcomes)
     }
 
-    /// Starts a pipelined (layer-at-a-time, background-thread) build of
-    /// the shared artifacts for `workload` under `configs`. The traffic
-    /// tier is probed synchronously (counters are small); the *encoded*
-    /// tier's probe — the entry load and its decode — rides the builder
-    /// thread, so this call blocks on nothing heavier than key
-    /// derivation. A cold build's layers become consumable one by one
-    /// as their tables are scheduled; a warm one's all at once, after
-    /// the whole entry decoded. If the build thread cannot be spawned,
-    /// the first consumer builds every layer inline (slower, never
-    /// wrong).
+    /// Starts the build of the shared artifacts for `workload` under
+    /// `configs`, resolved through the store as
+    /// [`SharedEncodedNetwork::resolve`] resolves it: both tiers are
+    /// probed here, and on an `en` miss each layer is scheduled from
+    /// `workload` by the first run that reaches it.
     ///
     /// # Panics
     ///
@@ -238,24 +215,26 @@ impl SharedEncodedNetwork {
         seed: u64,
         store: &ArtifactStore,
     ) -> PipelinedBuild {
-        let (network, repr) = (workload.network, workload.repr);
-        PipelinedBuild::plan(configs, network, repr, &workload.views(), seed, store)
-            .launching(workload)
+        let ids = (workload.network, workload.repr);
+        PipelinedBuild::start(configs, ids, &workload.views(), seed, store, || {
+            Some(Arc::clone(workload))
+        })
     }
 
     /// Resolves the stored build of `(network, repr, seed)` under
     /// `configs` in the order a warm run reads least: the encoded tier
     /// first, keyed from [`layer_views`] — no workload exists yet — then,
     /// only when that entry misses, the workload from `source` (the `wl`
-    /// tier or the generator) and the one build over it, pipelined as
-    /// [`SharedEncodedNetwork::start_pipelined`] runs it.
+    /// tier or the generator), which the runs schedule their layers from
+    /// as they reach them.
     ///
     /// On a hit the returned build is already complete: every table
     /// decoded off disk, traffic loaded from its tier or counted from
     /// geometry, `source` never called. Either way the caller simulates
-    /// against the build over [`layer_views`] and `finish`es it, which
-    /// publishes whatever missed. `source` must yield the stored workload
-    /// of `(network, repr, seed)`, whose views equal [`layer_views`].
+    /// against [`PipelinedBuild::network`] over [`layer_views`] and
+    /// `finish`es the build, which publishes whatever missed. `source`
+    /// must yield the stored workload of `(network, repr, seed)`, whose
+    /// views equal [`layer_views`].
     ///
     /// # Panics
     ///
@@ -269,11 +248,9 @@ impl SharedEncodedNetwork {
         source: impl FnOnce() -> NetworkWorkload,
     ) -> PipelinedBuild {
         let views = layer_views(network, repr);
-        let build = PipelinedBuild::plan(configs, network, repr, &views, seed, store);
-        match build.plan.load_encoded() {
-            Some(layers) => build.completed(layers, &views),
-            None => build.launching(&Arc::new(source())),
-        }
+        PipelinedBuild::start(configs, (network, repr), &views, seed, store, || {
+            Some(Arc::new(source()))
+        })
     }
 
     /// Number of layers the artifacts were built for.
@@ -284,19 +261,43 @@ impl SharedEncodedNetwork {
     /// The shared schedule table for `layer` under `cfg`, plus the layer's
     /// NM/SB traffic counters — `None` when `cfg`'s chip, NM layout or
     /// representation differs from the view they were counted under
-    /// (the caller then computes its own).
+    /// (the caller then computes its own). On a build that missed the
+    /// `en` tier, the first call for a layer schedules that layer's
+    /// tables from the workload on the caller's thread; concurrent
+    /// callers for the same layer wait for it.
     ///
     /// # Panics
     ///
     /// Panics if `cfg`'s representation is not the workload's, or if the
     /// network was not built for a configuration with `cfg`'s encoding
-    /// key and scheduler parameters.
+    /// key and scheduler parameters — sharing silently mismatched
+    /// artifacts would corrupt results.
     pub fn artifacts(
         &self,
         layer: usize,
         cfg: &PraConfig,
     ) -> (Arc<LayerScheduler>, Option<AccessCounters>) {
-        select(layer, (&self.layers[layer], &self.traffic[layer]), (self.view, self.repr), cfg)
+        assert_eq!(cfg.repr, self.repr, "configuration representation must match the workload");
+        let pair = (cfg.encoding_key(), cfg.scheduler());
+        let sched = self
+            .layer(layer)
+            .schedulers
+            .iter()
+            .find(|(k, s, _)| (*k, *s) == pair)
+            .map(|(_, _, sched)| Arc::clone(sched))
+            .unwrap_or_else(|| {
+                panic!("shared artifacts were not built for {} (layer {layer})", cfg.label())
+            });
+        (sched, (self.view == Some(TrafficView::of(cfg))).then_some(self.traffic[layer]))
+    }
+
+    /// Layer `idx`'s tables, scheduled from the workload if its slot is
+    /// still empty.
+    fn layer(&self, idx: usize) -> &SharedLayer {
+        self.layers[idx].get_or_init(|| {
+            let workload = self.source.as_ref().expect("an unbuilt layer has a workload");
+            build_layer_artifacts(&self.wanted, &workload.layers[idx])
+        })
     }
 
     /// All per-layer traffic counters — the slice other engines'
@@ -334,397 +335,155 @@ fn build_layer_artifacts(
     SharedLayer { schedulers }
 }
 
-/// What a build needs besides the workload and its layer slots, fixed
-/// when the build is planned and read by the layer loop and `finish`.
-struct BuildPlan {
-    wanted: Vec<(EncodingKey, SchedulerConfig)>,
-    lead: PraConfig,
-    view: Option<TrafficView>,
-    repr: Representation,
-    /// Every layer's input geometry, as the encoded entry stores it.
-    dims: Vec<Dim3>,
-    /// The encoded tier's cache and this build's key in it; `None` when
-    /// the tier is off.
-    encoded: Option<(Cache, CacheKey)>,
-    /// The traffic table the plan loaded, when the traffic tier hit.
-    preloaded: Option<Vec<AccessCounters>>,
-}
-
-impl BuildPlan {
-    /// The whole encoded entry, or `None` when the tier is off, the
-    /// entry is missing, or it fails to decode as one unit.
-    fn load_encoded(&self) -> Option<Vec<SharedLayer>> {
-        let (cache, key) = self.encoded.as_ref()?;
-        decode_layers(&cache.load(ENCODED_KIND, ENCODER_VERSION, key)?, &self.wanted, &self.dims)
-    }
-
-    /// Layer `idx`'s traffic: the loaded table's entry, else a count from
-    /// its geometry, or zeros when the configurations share no view.
-    fn layer_traffic(&self, idx: usize, spec: &ConvLayerSpec) -> AccessCounters {
-        match (&self.preloaded, self.view) {
-            (Some(table), _) => table[idx],
-            (None, Some(_)) => count_traffic(&self.lead, spec),
-            (None, None) => AccessCounters::new(),
-        }
-    }
-}
-
-/// Layer slots the build loop fills in index order.
-struct PipeState {
-    built: Vec<Option<(SharedLayer, AccessCounters)>>,
-    /// Set (with a wakeup) when the loop stops, normally or not —
-    /// waiters must never block on a slot that will never fill.
-    finished: bool,
-    /// What the encoded store tier contributed: `Disabled` when the
-    /// tier is off, else `Miss` until the loop's probe decodes the
-    /// entry. The loop owns the probe (so a pipelined warm start blocks
-    /// on nothing heavier than key derivation) and settles this in the
-    /// critical section that publishes layer 0: any consumer that has
-    /// seen a layer reads a settled value.
-    encoded_outcome: CacheOutcome,
-}
-
-type PipeSync = (Mutex<PipeState>, Condvar);
-
-/// Wakes every [`PipelinedBuild`] waiter when the build loop stops for
-/// *any* reason — including an unwind mid-build. Without this, a
-/// panicking builder would leave a simulation thread parked on the
-/// condvar forever; with it, the waiter observes `finished` with an
-/// unfilled slot and raises a diagnosable panic instead of hanging.
-struct NotifyOnStop<'a>(&'a PipeSync);
-
-impl Drop for NotifyOnStop<'_> {
-    fn drop(&mut self) {
-        let (state, cv) = self.0;
-        state.lock().unwrap_or_else(PoisonError::into_inner).finished = true;
-        cv.notify_all();
-    }
-}
-
-/// The one per-layer build loop. The encoded entry decodes whole before
-/// any layer is published — a missing or failed entry schedules every
-/// layer fresh, bit-identically — then each layer takes or counts its
-/// traffic and is published into its slot the moment it is ready.
-fn build_layers(plan: &BuildPlan, workload: &NetworkWorkload, sync: &PipeSync) {
-    let _notify = NotifyOnStop(sync);
-    let loaded = plan.load_encoded();
-    let hit = loaded.is_some();
-    let mut loaded = loaded.unwrap_or_default().into_iter();
-    for (idx, layer) in workload.layers.iter().enumerate() {
-        let arts = loaded.next().unwrap_or_else(|| build_layer_artifacts(&plan.wanted, layer));
-        let traffic = plan.layer_traffic(idx, &layer.spec);
-        let (state, cv) = sync;
-        let mut g = state.lock().unwrap_or_else(PoisonError::into_inner);
-        g.built[idx] = Some((arts, traffic));
-        if hit {
-            g.encoded_outcome = CacheOutcome::Hit;
-        }
-        drop(g);
-        cv.notify_all();
-    }
-}
-
-/// A [`SharedEncodedNetwork`] build in flight: layers are built
-/// *sequentially, in index order* — on a background thread for
-/// [`SharedEncodedNetwork::start_pipelined`] — and each layer's
-/// artifacts become consumable the moment they are ready, so a
-/// simulation thread can run layer *n* while the builder encodes layer
-/// *n + 1* (the serving tier's streaming overlap; DESIGN.md §14). The
-/// finished artifacts are assembled into an ordinary
-/// [`SharedEncodedNetwork`] by [`PipelinedBuild::finish`] — per-layer
-/// artifact construction is pure, only its schedule moves.
+/// A [`SharedEncodedNetwork`] build that has started but not finished:
+/// the network, whose empty slots the runs fill as they reach them
+/// (see [`SharedEncodedNetwork::artifacts`]), plus what
+/// [`PipelinedBuild::finish`] publishes. Scheduling a layer is pure, so
+/// which run fills a slot, and in what order, never changes a byte.
 pub struct PipelinedBuild {
-    state: Arc<PipeSync>,
-    /// A pipelined builder launches *lazily*, on the first consumer
-    /// ([`PipelinedBuild::artifacts`] or [`PipelinedBuild::finish`]):
-    /// spawning inside `start_pipelined` would make a runnable thread
-    /// whose first act is heavy I/O (the encoded-entry load), and on a
-    /// single core the wakeup can preempt the caller before the start
-    /// call returns — charging overlapped background work to the
-    /// caller's blocking-phase clock. Deferring the launch keeps the
-    /// start cost at key derivation, warm or cold. `Some` holds the
-    /// whole-build closure until then (callable again inline if no
-    /// thread can take it); `None` once launched, or for an inline
-    /// build.
-    launch: Mutex<Option<BuildJob>>,
-    plan: Arc<BuildPlan>,
-    layer_count: usize,
-    /// The traffic-table key `finish` publishes a cold count under
-    /// (`None` when uncacheable or the plan's load hit).
+    network: SharedEncodedNetwork,
+    /// The `en` key `finish` publishes the tables under (`None` when the
+    /// tier is off or the entry decoded).
+    encoded_miss: Option<CacheKey>,
+    /// The `tr` key `finish` publishes a cold count under (`None` when
+    /// uncacheable or the table loaded).
     traffic_miss: Option<CacheKey>,
-    /// What the traffic tier contributed at plan time; see
-    /// [`PipelinedBuild::traffic_outcome`].
+    /// See [`PipelinedBuild::encoded_outcome`].
+    encoded_outcome: CacheOutcome,
+    /// See [`PipelinedBuild::traffic_outcome`].
     traffic_outcome: CacheOutcome,
 }
 
-/// A whole-build closure; all captures are read-only, so it can be
-/// called again inline when no thread takes it.
-type BuildJob = Arc<dyn Fn() + Send + Sync>;
-
-/// Build threads waiting for their next job, one channel each.
-static IDLE_BUILDERS: Mutex<Vec<Sender<BuildJob>>> = Mutex::new(Vec::new());
-
-/// Runs `job` on a build thread, reusing an idle one and starting a
-/// new one only when none is idle. A thread per build would land in
-/// whichever malloc arena is free and scatter the pooled artifacts over
-/// arenas whose freed memory later builds do not reuse (measured on
-/// serve-churn: a fifth more peak RSS). Build threads are never joined;
-/// a build that panics still surfaces, as the layers it never produced
-/// ([`PipelinedBuild::artifacts`], [`PipelinedBuild::finish`]).
-fn run_on_builder(job: BuildJob) -> std::io::Result<()> {
-    let idle = IDLE_BUILDERS.lock().unwrap_or_else(PoisonError::into_inner).pop();
-    let job = match idle.map(|tx| tx.send(Arc::clone(&job))) {
-        Some(Ok(())) => return Ok(()),
-        Some(Err(_)) | None => job,
-    };
-    let (tx, rx) = channel::<BuildJob>();
-    let worker = move || {
-        let mut next = Some(job);
-        while let Some(job) = next.take() {
-            job();
-            // Idle threads must not keep the last build's workload alive.
-            drop(job);
-            IDLE_BUILDERS.lock().unwrap_or_else(PoisonError::into_inner).push(tx.clone());
-            next = rx.recv().ok();
-        }
-    };
-    std::thread::Builder::new().name("pra-pipeline-build".to_string()).spawn(worker).map(drop)
-}
-
 impl PipelinedBuild {
-    /// Plans a build of the network `layers` describe — the stored
-    /// `(network, repr)` at `seed` — under `configs`: derives the
+    /// Starts a build of the network `views` describe — the stored
+    /// `(network, repr)` at `seed` — under `configs`. It derives the
     /// encoded key (cheap — it hashes generation inputs and geometry,
-    /// not tensors) and probes the traffic tier. Nothing is built and
-    /// nothing launches; the caller runs [`build_layers`] inline,
-    /// installs a pending launch, or completes the build from a whole
-    /// encoded entry.
-    fn plan(
+    /// not tensors) and decodes the whole entry into every slot; on a
+    /// miss the slots stay empty and the workload comes from `source`
+    /// (`None` when the caller fills every slot itself). Traffic loads
+    /// from its tier or is counted from geometry.
+    fn start(
         configs: &[PraConfig],
-        network: Network,
-        repr: Representation,
-        layers: &[LayerView<'_>],
+        (network, repr): (Network, Representation),
+        views: &[LayerView<'_>],
         seed: u64,
         store: &ArtifactStore,
+        source: impl FnOnce() -> Option<Arc<NetworkWorkload>>,
     ) -> Self {
         assert!(!configs.is_empty(), "SharedEncodedNetwork needs at least one configuration");
         let wanted = wanted_pairs(configs);
-        let lead = configs[0];
-        let view = shared_view(configs);
-        let layer_count = layers.len();
-        let dims = layers.iter().map(|v| v.spec.input).collect();
-        let encoded = store
-            .cache_for(ArtifactKind::Encoded)
-            .map(|cache| (cache.clone(), encoded_key(network, repr, seed, layers, &wanted)));
+        let (lead, view) = (configs[0], shared_view(configs));
+        let encoded = store.cache_for(ArtifactKind::Encoded).map(|cache| {
+            let key = encoded_key(network, repr, seed, views, &wanted);
+            let dims: Vec<_> = views.iter().map(|v| v.spec.input).collect();
+            let payload = cache.load(ENCODED_KIND, ENCODER_VERSION, &key);
+            (key, payload.and_then(|payload| decode_layers(&payload, &wanted, &dims)))
+        });
+        let (layers, source, encoded_miss, encoded_outcome) = match encoded {
+            Some((_, Some(decoded))) => {
+                let layers = decoded.into_iter().map(OnceLock::from).collect();
+                (layers, None, None, CacheOutcome::Hit)
+            }
+            missed => {
+                let outcome =
+                    if missed.is_some() { CacheOutcome::Miss } else { CacheOutcome::Disabled };
+                let empty = views.iter().map(|_| OnceLock::new()).collect();
+                (empty, source(), missed.map(|(key, _)| key), outcome)
+            }
+        };
         let traffic_cache = store.cache_for(ArtifactKind::Traffic).filter(|_| view.is_some());
         let (traffic_miss, preloaded, traffic_outcome) = match traffic_cache {
             None => (None, None, CacheOutcome::Disabled),
             Some(cache) => {
-                let key =
-                    traffic_key(network.name(), layers, &lead.chip, lead.nm_layout, lead.repr);
+                let key = traffic_key(network.name(), views, &lead.chip, lead.nm_layout, lead.repr);
                 match cache
                     .load(TRAFFIC_KIND, TRAFFIC_VERSION, &key)
-                    .and_then(|payload| decode_traffic(&payload, layer_count))
+                    .and_then(|payload| decode_traffic(&payload, views.len()))
                 {
                     Some(table) => (None, Some(table), CacheOutcome::Hit),
                     None => (Some(key), None, CacheOutcome::Miss),
                 }
             }
         };
-        let encoded_outcome =
-            if encoded.is_some() { CacheOutcome::Miss } else { CacheOutcome::Disabled };
+        let traffic = match (preloaded, view) {
+            (Some(table), _) => table,
+            (None, Some(_)) => views.iter().map(|v| count_traffic(&lead, v.spec)).collect(),
+            (None, None) => vec![AccessCounters::new(); views.len()],
+        };
         PipelinedBuild {
-            state: Arc::new((
-                Mutex::new(PipeState {
-                    built: (0..layer_count).map(|_| None).collect(),
-                    finished: false,
-                    encoded_outcome,
-                }),
-                Condvar::new(),
-            )),
-            launch: Mutex::new(None),
-            plan: Arc::new(BuildPlan { wanted, lead, view, repr, dims, encoded, preloaded }),
-            layer_count,
+            network: SharedEncodedNetwork { layers, source, wanted, traffic, view, repr },
+            encoded_miss,
             traffic_miss,
+            encoded_outcome,
             traffic_outcome,
         }
     }
 
-    /// Installs the pending launch of the build loop over `workload`.
-    fn launching(mut self, workload: &Arc<NetworkWorkload>) -> Self {
-        let (plan, state, workload) =
-            (Arc::clone(&self.plan), Arc::clone(&self.state), Arc::clone(workload));
-        self.launch = Mutex::new(Some(Arc::new(move || build_layers(&plan, &workload, &state))));
-        self
-    }
-
-    /// The build completed from a whole encoded entry: every slot holds
-    /// its decoded tables and its traffic, the outcome is `Hit`, and
-    /// nothing launches.
-    fn completed(self, layers: Vec<SharedLayer>, views: &[LayerView<'_>]) -> Self {
-        let traffic = views.iter().enumerate().map(|(idx, v)| self.plan.layer_traffic(idx, v.spec));
-        let built = layers.into_iter().zip(traffic).map(Some).collect();
-        *self.lock() = PipeState { built, finished: true, encoded_outcome: CacheOutcome::Hit };
-        self
-    }
-
-    /// Launches the builder if no consumer has yet; on thread
-    /// exhaustion every layer is built inline here instead (no overlap,
-    /// same bytes) — racing consumers park on the launch lock until the
-    /// layers exist.
-    fn ensure_started(&self) {
-        let mut g = self.launch.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(job) = g.take() {
-            if run_on_builder(Arc::clone(&job)).is_err() {
-                job();
-            }
-        }
+    /// The network the runs simulate against while the build is open.
+    pub fn network(&self) -> &SharedEncodedNetwork {
+        &self.network
     }
 
     /// How many layers the build covers.
     pub fn layer_count(&self) -> usize {
-        self.layer_count
+        self.network.layer_count()
     }
 
-    /// What the encoded store tier contributed: `Hit` when every table
-    /// decoded off disk, `Miss` when a tier-enabled build scheduled them
-    /// and `finish` will publish, `Disabled` when the tier is off. The
-    /// probe runs in the build loop, so this settles with layer 0: read
-    /// it after consuming a layer (or after the build completes);
-    /// earlier reads see the tier's configuration (`Disabled`/`Miss`),
-    /// not the disk's answer.
-    pub fn encoded_outcome(&self) -> CacheOutcome {
-        self.lock().encoded_outcome
-    }
-
-    /// What the traffic store tier contributed at start (that probe is
-    /// cheap — counters, not tables — and stays synchronous): `Hit` when
-    /// the table loaded, `Miss` when `finish` will publish a cold
-    /// count, `Disabled` when the tier is off or the configuration set
-    /// does not share one traffic view.
-    pub fn traffic_outcome(&self) -> CacheOutcome {
-        self.traffic_outcome
-    }
-
-    fn lock(&self) -> MutexGuard<'_, PipeState> {
-        self.state.0.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Blocks until `layer`'s artifacts are built, then answers exactly
-    /// as [`SharedEncodedNetwork::artifacts`] will once the build is
-    /// finished.
+    /// [`SharedEncodedNetwork::artifacts`] of [`PipelinedBuild::network`].
     ///
     /// # Panics
     ///
-    /// Panics if the build does not cover `cfg` or `layer`, or if the
-    /// builder thread died before producing the layer.
+    /// As [`SharedEncodedNetwork::artifacts`].
     pub fn artifacts(
         &self,
         layer: usize,
         cfg: &PraConfig,
     ) -> (Arc<LayerScheduler>, Option<AccessCounters>) {
-        assert!(layer < self.layer_count, "pipelined build has no layer {layer}");
-        self.ensure_started();
-        let mut g = self.lock();
-        loop {
-            if let Some((arts, traffic)) = g.built.get(layer).and_then(Option::as_ref) {
-                return select(layer, (arts, traffic), (self.plan.view, self.plan.repr), cfg);
-            }
-            assert!(
-                !g.finished,
-                "pipelined build stopped before producing layer {layer} (builder panicked?)"
-            );
-            g = self.state.1.wait(g).unwrap_or_else(PoisonError::into_inner);
-        }
+        self.network.artifacts(layer, cfg)
     }
 
-    /// Waits for the builder and assembles the completed layers into an
-    /// ordinary [`SharedEncodedNetwork`] — the only publish point of
-    /// the build: a cold traffic count when the plan missed one, and
-    /// the schedule tables unless they decoded off disk. A miss creates
-    /// the entry; a corrupt or truncated one is repaired. The tables are
-    /// whole from the moment they are built, so when this runs never
-    /// changes the bytes it publishes.
+    /// What the encoded store tier contributed, settled when the build
+    /// started: `Hit` when every table decoded off disk, `Miss` when a
+    /// tier-enabled build schedules them and `finish` will publish,
+    /// `Disabled` when the tier is off.
+    pub fn encoded_outcome(&self) -> CacheOutcome {
+        self.encoded_outcome
+    }
+
+    /// What the traffic store tier contributed when the build started:
+    /// `Hit` when the table loaded, `Miss` when `finish` will publish a
+    /// cold count, `Disabled` when the tier is off or the configuration
+    /// set does not share one traffic view.
+    pub fn traffic_outcome(&self) -> CacheOutcome {
+        self.traffic_outcome
+    }
+
+    /// Schedules every layer no run reached and returns the finished
+    /// [`SharedEncodedNetwork`] — the only publish point of the build: a
+    /// cold traffic count when the start missed one, and the schedule
+    /// tables unless they decoded off disk. A miss creates the entry; a
+    /// corrupt or truncated one is repaired. The tables are whole from
+    /// the moment they are built, so neither when this runs nor which
+    /// layers the runs touched first changes the bytes it publishes.
     ///
     /// # Panics
     ///
-    /// Panics if the builder thread panicked (the artifacts would be
-    /// incomplete; callers treat it like any worker panic).
+    /// Panics if scheduling a layer panics.
     pub fn finish(self, store: &ArtifactStore) -> SharedEncodedNetwork {
-        self.ensure_started();
-        let mut g = self.lock();
-        while !g.finished {
-            g = self.state.1.wait(g).unwrap_or_else(PoisonError::into_inner);
-        }
-        let encoded_outcome = g.encoded_outcome;
-        let built = std::mem::take(&mut g.built);
-        drop(g);
-        let (layers, traffic): (Vec<SharedLayer>, Vec<AccessCounters>) =
-            built.into_iter().map(|slot| slot.expect("pipelined artifact build panicked")).unzip();
+        let PipelinedBuild { mut network, encoded_miss, traffic_miss, .. } = self;
+        let layers: Vec<&SharedLayer> =
+            (0..network.layer_count()).map(|i| network.layer(i)).collect();
         // Best-effort, like every cache store.
-        if let (Some(key), Some(cache)) =
-            (&self.traffic_miss, store.cache_for(ArtifactKind::Traffic))
-        {
-            let _ = cache.store(TRAFFIC_KIND, TRAFFIC_VERSION, key, &encode_traffic(&traffic));
+        if let (Some(key), Some(cache)) = (traffic_miss, store.cache_for(ArtifactKind::Traffic)) {
+            let _ =
+                cache.store(TRAFFIC_KIND, TRAFFIC_VERSION, &key, &encode_traffic(&network.traffic));
         }
-        if let (Some((_, key)), Some(cache), CacheOutcome::Miss) =
-            (&self.plan.encoded, store.cache_for(ArtifactKind::Encoded), encoded_outcome)
-        {
-            let payload = encode_layers(&layers, &self.plan.wanted);
-            let _ = cache.store(ENCODED_KIND, ENCODER_VERSION, key, &payload);
+        if let (Some(key), Some(cache)) = (encoded_miss, store.cache_for(ArtifactKind::Encoded)) {
+            let payload = encode_layers(&layers, &network.wanted);
+            let _ = cache.store(ENCODED_KIND, ENCODER_VERSION, &key, &payload);
         }
-        SharedEncodedNetwork { layers, traffic, view: self.plan.view, repr: self.plan.repr }
-    }
-}
-
-/// What [`crate::run_shared`] simulates against: a finished
-/// [`SharedEncodedNetwork`] or a [`PipelinedBuild`] still in flight.
-/// Both answer through the same per-layer lookup.
-#[derive(Clone, Copy)]
-pub enum Artifacts<'a> {
-    /// Finished artifacts (e.g. a pooled network).
-    Built(&'a SharedEncodedNetwork),
-    /// An in-flight build: each layer is waited for as a run reaches it.
-    Building(&'a PipelinedBuild),
-}
-
-impl Artifacts<'_> {
-    /// How many layers the artifacts cover.
-    pub fn layer_count(&self) -> usize {
-        match self {
-            Artifacts::Built(network) => network.layer_count(),
-            Artifacts::Building(build) => build.layer_count(),
-        }
-    }
-
-    /// `layer`'s scheduler and traffic under `cfg`; see
-    /// [`SharedEncodedNetwork::artifacts`].
-    ///
-    /// # Panics
-    ///
-    /// As [`SharedEncodedNetwork::artifacts`] and
-    /// [`PipelinedBuild::artifacts`].
-    pub fn layer(
-        &self,
-        layer: usize,
-        cfg: &PraConfig,
-    ) -> (Arc<LayerScheduler>, Option<AccessCounters>) {
-        match self {
-            Artifacts::Built(network) => network.artifacts(layer, cfg),
-            Artifacts::Building(build) => build.artifacts(layer, cfg),
-        }
-    }
-}
-
-impl<'a> From<&'a SharedEncodedNetwork> for Artifacts<'a> {
-    fn from(network: &'a SharedEncodedNetwork) -> Self {
-        Artifacts::Built(network)
-    }
-}
-
-impl<'a> From<&'a PipelinedBuild> for Artifacts<'a> {
-    fn from(build: &'a PipelinedBuild) -> Self {
-        Artifacts::Building(build)
+        network.source = None;
+        network
     }
 }
 
@@ -1055,10 +814,15 @@ mod tests {
     fn run_all(
         configs: &[PraConfig],
         workload: &NetworkWorkload,
-        artifacts: Artifacts<'_>,
+        network: &SharedEncodedNetwork,
     ) -> Vec<pra_sim::RunResult> {
         let views = workload.views();
-        configs.iter().map(|c| crate::run_shared(c, &views, artifacts, |_, _| {})).collect()
+        configs.iter().map(|c| crate::run_shared(c, &views, network, |_, _| {})).collect()
+    }
+
+    /// Every layer's tables of a finished network.
+    fn tables(network: &SharedEncodedNetwork) -> Vec<&SharedLayer> {
+        network.layers.iter().map(|slot| slot.get().expect("a finished layer")).collect()
     }
 
     /// The encoded key a build of `workload` derives.
@@ -1218,10 +982,10 @@ mod tests {
             PraConfig::single_stage(Representation::Fixed16),
             PraConfig::per_column(1, Representation::Fixed16),
         ];
-        // Cold: the build misses, the sims run against it in flight, and
-        // `finish` publishes its tables.
+        // Cold: the build misses, the sims schedule each layer as they
+        // reach it, and `finish` publishes the tables.
         let cold = SharedEncodedNetwork::start_pipelined(&configs, &workload, 0xE, &store);
-        let cold_results = run_all(&configs, &workload, (&cold).into());
+        let cold_results = run_all(&configs, &workload, cold.network());
         assert_eq!(cold.encoded_outcome(), CacheOutcome::Miss);
         let cold = cold.finish(&store);
         let (warm, warm_out) =
@@ -1241,7 +1005,7 @@ mod tests {
         }
         // … and produce bit-identical results.
         assert_eq!(
-            run_all(&configs, &workload, (&warm).into()),
+            run_all(&configs, &workload, &warm),
             cold_results,
             "warm artifacts must be invisible in the results"
         );
@@ -1257,27 +1021,71 @@ mod tests {
         let (dir, store) =
             scratch_store("encoded-pipe", &[ArtifactKind::Encoded, ArtifactKind::Traffic]);
         let workload = Arc::new(toy_workload());
-        let configs = [PraConfig::two_stage(2, Representation::Fixed16)];
+        let configs = [
+            PraConfig::two_stage(2, Representation::Fixed16),
+            PraConfig::single_stage(Representation::Fixed16),
+        ];
+        let lead = configs[0];
+        let key = key_of(&workload, 0xE, &wanted_pairs(&configs));
+        let entry = |store: &ArtifactStore| {
+            let cache = store.cache_for(ArtifactKind::Encoded).expect("tier enabled");
+            cache.load(ENCODED_KIND, ENCODER_VERSION, &key)
+        };
+        // A build no run touched: `finish` schedules every layer and
+        // publishes before any simulation ran.
         let pipe = SharedEncodedNetwork::start_pipelined(&configs, &workload, 0xE, &store);
+        assert_eq!(pipe.encoded_outcome(), CacheOutcome::Miss);
         let cold = pipe.finish(&store);
-        // finish() published before any simulation ran: the tables are
-        // whole from the moment they are built.
+        let published = entry(&store).expect("finish must have published");
         let (warm, out) =
             SharedEncodedNetwork::from_workload_stored(&configs, &workload, 0xE, &store);
         assert_eq!(out.encoded, CacheOutcome::Hit, "finish must have published");
         assert_eq!(out.traffic, CacheOutcome::Hit, "finish must have published traffic too");
         assert_eq!(
-            run_all(&configs, &workload, (&warm).into()),
-            run_all(&configs, &workload, (&cold).into()),
+            run_all(&configs, &workload, &warm),
+            run_all(&configs, &workload, &cold),
             "pipelined-published artifacts must be invisible in the results"
         );
         // And a warm pipelined start consumes the entry.
         let pipe = SharedEncodedNetwork::start_pipelined(&configs, &workload, 0xE, &store);
-        let (sched, traffic) = pipe.artifacts(0, &configs[0]);
+        let (sched, traffic) = pipe.artifacts(0, &lead);
         assert!(traffic.is_some());
         let reloaded = pipe.finish(&store);
-        assert!(Arc::ptr_eq(&sched, &reloaded.artifacts(0, &configs[0]).0));
+        assert!(Arc::ptr_eq(&sched, &reloaded.artifacts(0, &lead).0));
+
+        // First touch on builds that missed `en`: `artifacts(k, lead)`
+        // schedules layer k and no other.
+        let (miss_dir, miss_store) = scratch_store("encoded-pipe-touch", &[ArtifactKind::Encoded]);
+        let start = || SharedEncodedNetwork::start_pipelined(&configs, &workload, 0xE, &miss_store);
+        let filled = |pipe: &PipelinedBuild| -> Vec<bool> {
+            pipe.network().layers.iter().map(|slot| slot.get().is_some()).collect()
+        };
+        let pipe = start();
+        assert_eq!(filled(&pipe), [false, false], "a missed build schedules nothing up front");
+        let _ = pipe.artifacts(0, &lead);
+        assert_eq!(filled(&pipe), [true, false], "touching layer 0 schedules layer 0 alone");
+        drop(pipe);
+        let pipe = start();
+        assert_eq!(
+            pipe.encoded_outcome(),
+            CacheOutcome::Miss,
+            "an unfinished build publishes none"
+        );
+        let _ = pipe.artifacts(1, &lead);
+        assert_eq!(filled(&pipe), [false, true], "touching layer 1 schedules layer 1 alone");
+        // Layer 1 before layer 0 (scheduled by `finish`) gives the tables
+        // `from_workload` builds, and the entry a build no run touched
+        // published, byte for byte.
+        let diskless = SharedEncodedNetwork::from_workload(&configs, &workload);
+        let touched = pipe.finish(&miss_store);
+        for (idx, cfg) in [1, 0].into_iter().flat_map(|i| configs.iter().map(move |c| (i, c))) {
+            let (got, want) = (touched.artifacts(idx, cfg).0, diskless.artifacts(idx, cfg).0);
+            assert_eq!(got.table(), want.table(), "layer {idx} {}", cfg.label());
+        }
+        assert!(touched.source.is_none(), "a finished network holds no workload");
+        assert_eq!(entry(&miss_store), Some(published), "touch order must not reach the entry");
         let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&miss_dir);
     }
 
     #[test]
@@ -1290,14 +1098,14 @@ mod tests {
         ];
         let seed = 0xC7;
         let diskless = SharedEncodedNetwork::from_workload(&configs, &workload);
-        let expected = run_all(&configs, &workload, (&diskless).into());
+        let expected = run_all(&configs, &workload, &diskless);
 
         // The whole payload cut 20 bytes into layer 1 and stored under
         // the real key: the container is valid (its checksum covers the
         // cut bytes), so only the payload decoder can notice.
         let wanted = wanted_pairs(&configs);
-        let payload = encode_layers(&diskless.layers, &wanted);
-        let layer_one_starts = encode_layers(&diskless.layers[..1], &wanted).len();
+        let payload = encode_layers(&tables(&diskless), &wanted);
+        let layer_one_starts = encode_layers(&tables(&diskless)[..1], &wanted).len();
         assert!(payload.len() > layer_one_starts + 20, "the toy layer is larger than the cut");
         let cache = store.cache_for(ArtifactKind::Encoded).expect("tier enabled");
         let key = key_of(&workload, seed, &wanted);
@@ -1308,13 +1116,13 @@ mod tests {
         // Layer 0 is intact on disk, but the entry is one unit: a miss,
         // and every layer is scheduled fresh.
         let pipe = SharedEncodedNetwork::start_pipelined(&configs, &workload, seed, &store);
-        assert_eq!(run_all(&configs, &workload, (&pipe).into()), expected);
+        assert_eq!(run_all(&configs, &workload, pipe.network()), expected);
         assert_eq!(pipe.encoded_outcome(), CacheOutcome::Miss, "a cut entry is not a hit");
         let _ = pipe.finish(&store);
 
         // `finish` republished a whole entry: the next start hits it.
         let pipe = SharedEncodedNetwork::start_pipelined(&configs, &workload, seed, &store);
-        assert_eq!(run_all(&configs, &workload, (&pipe).into()), expected);
+        assert_eq!(run_all(&configs, &workload, pipe.network()), expected);
         assert_eq!(pipe.encoded_outcome(), CacheOutcome::Hit, "the repaired entry must load");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1381,7 +1189,7 @@ mod tests {
         let built = SharedEncodedNetwork::from_workload(&configs, &workload);
         let wanted = wanted_pairs(&configs);
         let dims: Vec<_> = workload.layers.iter().map(|l| l.neurons.dim()).collect();
-        let payload = encode_layers(&built.layers, &wanted);
+        let payload = encode_layers(&tables(&built), &wanted);
         assert!(crate::artifact::decode_layers(&payload, &wanted, &dims).is_some());
         // Counts, then each layer's dims: after the 8-byte counts and 5
         // bytes per pair, a layer is 12 bytes of dims plus its tables.
@@ -1430,9 +1238,9 @@ mod tests {
             PraConfig::per_column(1, Representation::Fixed16),
         ];
         let diskless = SharedEncodedNetwork::from_workload(&configs, &workload);
-        let expected = run_all(&configs, &workload, (&diskless).into());
+        let expected = run_all(&configs, &workload, &diskless);
         let wanted = wanted_pairs(&configs);
-        let payload = encode_layers(&diskless.layers, &wanted);
+        let payload = encode_layers(&tables(&diskless), &wanted);
         let inflated = |at: usize| {
             let mut m = payload.clone();
             m[at] = m[at].wrapping_add(1);
@@ -1457,7 +1265,7 @@ mod tests {
             let (built, out) =
                 SharedEncodedNetwork::from_workload_stored(&configs, &workload, 0xD, &store);
             assert_eq!(out.encoded, CacheOutcome::Miss, "mutant {n} must fail closed");
-            assert_eq!(run_all(&configs, &workload, (&built).into()), expected, "mutant {n}");
+            assert_eq!(run_all(&configs, &workload, &built), expected, "mutant {n}");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1569,7 +1377,7 @@ mod tests {
         let net = Network::AlexNet;
         let (s, _) = resolve(&pool, &configs, net, 0xC, &store);
         let views = layer_views(net, Representation::Fixed16);
-        let pooled = crate::run_shared(&configs[0], &views, &*s, |_, _| {});
+        let pooled = crate::run_shared(&configs[0], &views, &s, |_, _| {});
         let direct = NetworkWorkload::build(net, Representation::Fixed16, 0xC);
         let unshared: Vec<_> =
             direct.layers.iter().map(|l| crate::simulate_layer(&configs[0], l)).collect();

@@ -30,7 +30,8 @@
 //!
 //! Entry points: [`run_shared`] is the one network runner — every
 //! design point of a workload simulates against one
-//! [`crate::SharedEncodedNetwork`] (or a build still in flight).
+//! [`crate::SharedEncodedNetwork`], finished or still filling its
+//! layers on first touch.
 //! [`simulate_layer_shared`] simulates one layer against a schedule
 //! table; [`simulate_layer`] is its one-layer convenience over a fresh,
 //! unshared table. The per-fetch implementation is retained as
@@ -52,7 +53,7 @@ use rayon::prelude::*;
 use crate::column::{csd_mask, schedule_brick_with, ColumnSchedule};
 use crate::config::{Encoding, Fidelity, PraConfig, SyncPolicy};
 use crate::schedule::{LayerScheduler, MAX_CYCLES};
-use crate::shared::Artifacts;
+use crate::shared::SharedEncodedNetwork;
 use crate::tile::{column_sync, pallet_sync, PalletOutcome};
 
 /// Simulates one layer on the configured Pragmatic design point: the
@@ -592,39 +593,33 @@ fn schedule_column(cfg: &PraConfig, layer: &LayerWorkload, brick: &[u16; BRICK])
 /// neuron-free views the artifacts were built over (a workload's
 /// `views()`, or `pra_workloads::layer_views` for a stored one) — on
 /// the configured design point, labelled with [`PraConfig::label`],
-/// against build-once shared artifacts: a finished
-/// [`SharedEncodedNetwork`] or a [`PipelinedBuild`] still in flight (see
-/// [`Artifacts`]). Every layer borrows its shared schedule table (and,
-/// when available, the engine-independent traffic counters) instead of
-/// re-scheduling per design point, so no neuron is read here. Against an in-flight build, layer `idx` simulates as
-/// soon as the builder has produced it, so a cold build's scheduling of
-/// layer *n + 1* overlaps simulation of layer *n*.
+/// against build-once shared artifacts. Every layer borrows its shared
+/// schedule table (and, when available, the engine-independent traffic
+/// counters) instead of re-scheduling per design point, so no neuron is
+/// read here unless a build that missed the `en` tier has not scheduled
+/// the layer yet: then this run schedules it on its own thread before
+/// simulating it ([`SharedEncodedNetwork::artifacts`]), so layer *n*
+/// waits for layer *n*'s tables only.
 /// `on_layer(idx, partial)` fires the moment layer `idx` finishes, with
 /// the run result accumulated so far — the serving tier's v2 streaming
-/// hook (each call becomes one `layer_result` wire frame). Neither the
-/// artifact source nor the observer changes the result: each layer is
+/// hook (each call becomes one `layer_result` wire frame). Neither who
+/// scheduled a layer nor the observer changes the result: each layer is
 /// cycle-for-cycle identical to [`simulate_layer`] on that layer.
 ///
 /// # Panics
 ///
 /// Panics if the artifacts do not cover `cfg` or every layer (see
-/// [`SharedEncodedNetwork::artifacts`]), or if an in-flight build's
-/// builder died mid-build.
-///
-/// [`SharedEncodedNetwork`]: crate::SharedEncodedNetwork
-/// [`SharedEncodedNetwork::artifacts`]: crate::SharedEncodedNetwork::artifacts
-/// [`PipelinedBuild`]: crate::PipelinedBuild
-pub fn run_shared<'a>(
+/// [`SharedEncodedNetwork::artifacts`]).
+pub fn run_shared(
     cfg: &PraConfig,
     layers: &[LayerView<'_>],
-    artifacts: impl Into<Artifacts<'a>>,
+    network: &SharedEncodedNetwork,
     mut on_layer: impl FnMut(usize, &RunResult),
 ) -> RunResult {
-    let artifacts = artifacts.into();
-    assert_eq!(artifacts.layer_count(), layers.len(), "shared artifacts must cover every layer");
+    assert_eq!(network.layer_count(), layers.len(), "shared artifacts must cover every layer");
     let mut result = RunResult::new(cfg.label());
     for (idx, layer) in layers.iter().enumerate() {
-        let (sched, traffic) = artifacts.layer(idx, cfg);
+        let (sched, traffic) = network.artifacts(idx, cfg);
         result.layers.push(simulate_layer_shared(cfg, *layer, &sched, traffic.as_ref()));
         on_layer(idx, &result);
     }

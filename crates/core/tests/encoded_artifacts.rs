@@ -1,6 +1,6 @@
 //! The encoded-artifact store tier (DESIGN.md §15), end to end through
 //! the public API and the one build (`start_pipelined` → `run_shared`
-//! → `finish`, or `from_workload_stored` inline) —
+//! → `finish`, or `from_workload_stored` with every layer up front) —
 //!
 //!  1. cross-fidelity sharing: the encoded key deliberately excludes
 //!     [`Fidelity`], so a Sampled consumer loads the entry a Full build
@@ -107,7 +107,8 @@ fn run_all(
 }
 
 /// One build the way the sweep and the serve worker run it: start,
-/// simulate every config against the in-flight build, then `finish`,
+/// simulate every config against the open build (a miss schedules each
+/// layer as the first run reaches it), then `finish`,
 /// which publishes whatever the start missed. Returns the results and
 /// the encoded tier's outcome.
 fn build_and_run(
@@ -117,7 +118,7 @@ fn build_and_run(
 ) -> (Vec<RunResult>, CacheOutcome) {
     let build = SharedEncodedNetwork::start_pipelined(cfgs, workload, SEED, store);
     let views = workload.views();
-    let results = cfgs.iter().map(|c| run_shared(c, &views, &build, |_, _| {})).collect();
+    let results = cfgs.iter().map(|c| run_shared(c, &views, build.network(), |_, _| {})).collect();
     let outcome = build.encoded_outcome();
     let _ = build.finish(store);
     (results, outcome)

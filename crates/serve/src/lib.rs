@@ -23,8 +23,8 @@
 //!   [`pra_core::SharedEncodedNetwork`] per batch, each distinct
 //!   engine simulated exactly once, per-request latency split
 //!   (enqueue / batch-wait / sim / total); protocol-v2 requests
-//!   stream per-layer progress frames, overlapping layer *n+1*'s
-//!   scheduling with layer *n*'s simulation (DESIGN.md §14);
+//!   stream per-layer progress frames, and a cold key's first frame
+//!   waits for layer 0's tables only (DESIGN.md §14);
 //! * [`server`] — the event-driven JSON-lines TCP front end
 //!   (`pra serve`): one thread multiplexing every connection over
 //!   nonblocking sockets, a bounded connection cap, and `stats` /

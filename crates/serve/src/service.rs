@@ -36,7 +36,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use pra_core::{run_shared, ArtifactPool, Artifacts, PraConfig, SharedEncodedNetwork};
+use pra_core::{run_shared, ArtifactPool, PraConfig, SharedEncodedNetwork};
 use pra_engines::{dadn, stripes};
 use pra_sim::{ChipConfig, RunResult};
 use pra_workloads::cache::CacheOutcome;
@@ -76,15 +76,16 @@ pub struct ServiceStats {
     /// Microseconds of blocking artifact work paid by batch workers, the
     /// same for v1 and v2 batches: on a pool miss, the resolve — key
     /// derivation, the encoded-tier probe (on a hit, the whole decode of
-    /// the schedule tables) and the traffic-table probe; on a miss, also
-    /// workload sourcing and starting the pipelined build — and its
-    /// `finish` (joining the builder, publishing missed entries).
-    /// Scheduling the tables cold overlaps simulation on the builder
-    /// thread and is not counted, nor is time spent waiting on another
-    /// worker's build of the same key. A warm disk store collapses this
-    /// to the encoded-entry decode — the CI `warm-start-smoke` gate pins
-    /// that collapse. Kept in microseconds so that a sub-millisecond
-    /// warm resolve still counts; the snapshot reports milliseconds.
+    /// the schedule tables) and the traffic table's load or count from
+    /// geometry; on a miss, also workload sourcing — and its `finish`
+    /// (publishing missed entries). Scheduling the tables cold runs
+    /// inside the batch's PRA runs, one layer as each is reached, and
+    /// counts as simulation, not here; nor does time spent waiting on
+    /// another worker's build of the same key. A warm disk store
+    /// collapses this to the encoded-entry decode — the CI
+    /// `warm-start-smoke` gate pins that collapse. Kept in microseconds
+    /// so that a sub-millisecond warm resolve still counts; the snapshot
+    /// reports milliseconds.
     pub encode_us: AtomicU64,
     /// Batches whose shared encoded artifacts loaded from the store's
     /// disk tier instead of being rebuilt from the workload.
@@ -549,11 +550,11 @@ fn run_batch(
     // it waits for this build instead of starting a second one) and
     // resolves it through the tiered [`ArtifactStore`] — a stored
     // entry's schedule tables decode without any workload, and only an
-    // `en` miss loads or generates the workload and starts the pipelined
-    // build — runs every PRA engine against it, and `finish`es and pools
-    // it. Every engine runs from the neuron-free layer views, so
-    // baselines-only batches need no workload at all: a pool miss
-    // counts their traffic from geometry.
+    // `en` miss loads or generates the workload, whose layers the first
+    // PRA run schedules as it reaches them — runs every PRA engine
+    // against it, and `finish`es and pools it. Every engine runs from
+    // the neuron-free layer views, so baselines-only batches need no
+    // workload at all: a pool miss counts their traffic from geometry.
     //
     // [`ArtifactStore`]: pra_workloads::cache::ArtifactStore
     let std_cfgs: Vec<PraConfig> = pra_bench::sweep::pra_configs(key.repr, cfg.fidelity);
@@ -564,9 +565,10 @@ fn run_batch(
         pool.lookup(&std_cfgs, key.network, key.repr, key.seed).ok_or(None)
     };
     // Blocking artifact work (everything that is not simulation) is
-    // accumulated into `encode_us`; waiting on another worker's claim
-    // and the overlapped portion of a pipelined build are deliberately
-    // excluded — neither is work this batch does.
+    // accumulated into `encode_us`. Waiting on another worker's claim is
+    // deliberately excluded — it is not work this batch does — and a
+    // cold build's scheduling happens inside the PRA runs below, so it
+    // counts as simulation.
     let t = Instant::now();
     let (pooled, claim) = match found {
         Ok(shared) => {
@@ -599,22 +601,18 @@ fn run_batch(
     let mut frames_sent: BTreeMap<u64, usize> = BTreeMap::new();
     let views = layer_views(key.network, key.repr);
     let layers = views.len();
-    let artifacts = match (&pooled, &build) {
-        (Some(shared), _) => Some(Artifacts::Built(shared)),
-        (None, Some((_, build))) => Some(Artifacts::Building(build)),
-        (None, None) => None,
-    };
+    let network = pooled.as_deref().or(build.as_ref().map(|(_, build)| build.network()));
     let mut pra_runs: BTreeMap<&str, RunResult> = BTreeMap::new();
     for (label, engine) in &engines {
-        let (Engine::Pra(pra_cfg), Some(artifacts)) = (engine, artifacts) else {
+        let (Engine::Pra(pra_cfg), Some(network)) = (engine, network) else {
             continue;
         };
         let r = if has_streamers && pra_runs.is_empty() {
-            run_shared(pra_cfg, &views, artifacts, |idx, partial| {
+            run_shared(pra_cfg, &views, network, |idx, partial| {
                 emit_frames(registry, slot, cfg, &mut frames_sent, idx, layers, partial);
             })
         } else {
-            run_shared(pra_cfg, &views, artifacts, |_, _| {})
+            run_shared(pra_cfg, &views, network, |_, _| {})
         };
         pra_runs.insert(label.as_str(), r);
     }
@@ -622,8 +620,7 @@ fn run_batch(
     let mut encoded_hit = false;
     let shared = match build {
         Some((claim, build)) => {
-            // The encoded probe settles with layer 0, which the runs
-            // above consumed, so this read is authoritative.
+            // The encoded probe settled when the build started.
             encoded_hit = build.encoded_outcome() == CacheOutcome::Hit;
             // `finish` publishes whatever the store missed.
             let t = Instant::now();

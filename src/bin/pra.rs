@@ -5,9 +5,10 @@
 //! pra speedup <network> [--quant8]     DaDN/Stripes/PRA speedups
 //! pra capacity <network>               NM/SB footprint audit
 //! pra networks                         list the evaluated networks
-//! pra sweep [--serial] [--full] [--sampled N] [--seed N] [--no-cache]
+//! pra sweep [--full] [--sampled N] [--seed N] [--no-cache]
 //!                                      all networks x engines x representations,
-//!                                      parallel, full fidelity by default
+//!                                      jobs on the thread pool (one thread:
+//!                                      RAYON_NUM_THREADS=1), full fidelity by default
 //!                                      (--full spells it explicitly, overriding
 //!                                      an inherited PRA_BENCH_PALLETS),
 //!                                      consolidated CSV + timing reports;
@@ -113,7 +114,7 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "usage: pra <networks | potential NET | speedup NET [--quant8] | capacity NET | sweep [--serial] [--full] [--sampled N] [--seed N] [--no-cache] | cache <stats [--kind K] [--json] | clear [--stale] [--kind K] [--json]> | bench-delta PREV CUR [--gate R] | serve [--addr A] [--workers N] [--max-batch B] [--queue-depth D] [--linger-ms L] [--sampled N] [--no-cache] [--once] [--max-conns C] [--deadline-ms D] [--shard N] [--epoch N] [--chaos SPEC] | route --shard ADDR [--shard ADDR ...] [--addr A] [--replicas K] [--probe-ms P] [--probe-deadline-ms D] [--seed S] [--max-conns C] [--once] [--chaos SPEC] | ctl <stats | drain> [--addr A] | bench-serve [--addr A] [--requests N] [--batch W] [--seed S] [--allow-shed] [--v2] [--retries R] [--backoff-ms B] [--cluster T1,T2,... [--sampled N] [--no-cache] [--max-conns C] [--deadline-ms D] [--chaos SPEC]]>\n\
+const USAGE: &str = "usage: pra <networks | potential NET | speedup NET [--quant8] | capacity NET | sweep [--full] [--sampled N] [--seed N] [--no-cache] | cache <stats [--kind K] [--json] | clear [--stale] [--kind K] [--json]> | bench-delta PREV CUR [--gate R] | serve [--addr A] [--workers N] [--max-batch B] [--queue-depth D] [--linger-ms L] [--sampled N] [--no-cache] [--once] [--max-conns C] [--deadline-ms D] [--shard N] [--epoch N] [--chaos SPEC] | route --shard ADDR [--shard ADDR ...] [--addr A] [--replicas K] [--probe-ms P] [--probe-deadline-ms D] [--seed S] [--max-conns C] [--once] [--chaos SPEC] | ctl <stats | drain> [--addr A] | bench-serve [--addr A] [--requests N] [--batch W] [--seed S] [--allow-shed] [--v2] [--retries R] [--backoff-ms B] [--cluster T1,T2,... [--sampled N] [--no-cache] [--max-conns C] [--deadline-ms D] [--chaos SPEC]]>\n\
                      networks: Alexnet NiN Google VGGM VGGS VGG19";
 
 fn parse_network(args: &[String], idx: usize) -> Result<Network, String> {
@@ -147,9 +148,10 @@ fn cmd_speedup(net: Network, repr: Representation) {
     }
 }
 
-/// `pra sweep [--serial] [--full] [--sampled N] [--seed N]`: every
-/// network x engine x representation, fanned out over the thread pool,
-/// full fidelity by default (`--sampled N` or the `PRA_BENCH_PALLETS`
+/// `pra sweep [--full] [--sampled N] [--seed N]`: every network x
+/// engine x representation, fanned out over the thread pool
+/// (`RAYON_NUM_THREADS=1` runs the jobs one at a time, with the same
+/// rows), full fidelity by default (`--sampled N` or the `PRA_BENCH_PALLETS`
 /// escape hatch trade accuracy for time), with the consolidated CSV and
 /// the machine-readable timing report (`bench.json`) dropped under
 /// `target/pra-reports/`.
@@ -158,7 +160,6 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--serial" => cfg.parallel = false,
             "--full" => cfg.fidelity = Fidelity::Full,
             "--sampled" => {
                 let v = it.next().ok_or("--sampled needs a pallet count")?;
@@ -180,29 +181,26 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
                 return Err(unknown_flag(
                     "sweep",
                     other,
-                    &["--serial", "--full", "--sampled", "--seed", "--no-cache"],
+                    &["--full", "--sampled", "--seed", "--no-cache"],
                 ))
             }
         }
     }
 
-    if cfg.parallel {
-        // The jobs are independent, CPU-bound simulations: one worker
-        // per core. Oversubscribing a single-core machine only adds
-        // context-switch and contention cost (measured ~12% of the
-        // sweep), and results are thread-count-independent anyway. An
-        // explicit RAYON_NUM_THREADS wins; the pool must be configured
-        // before any other rayon call, since on upstream rayon the
-        // first use freezes the global pool size.
-        let workers = match std::env::var("RAYON_NUM_THREADS").ok().and_then(|v| v.parse().ok()) {
-            Some(n) if n >= 1 => n,
-            _ => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        };
-        let _ = rayon::ThreadPoolBuilder::new().num_threads(workers).build_global();
-    }
-    let mode = if cfg.parallel { "parallel" } else { "serial" };
+    // The jobs are independent, CPU-bound simulations: one worker per
+    // core. Oversubscribing a single-core machine only adds
+    // context-switch and contention cost (measured ~12% of the sweep),
+    // and results are thread-count-independent anyway. An explicit
+    // RAYON_NUM_THREADS wins; the pool must be configured before any
+    // other rayon call, since on upstream rayon the first use freezes
+    // the global pool size.
+    let workers = match std::env::var("RAYON_NUM_THREADS").ok().and_then(|v| v.parse().ok()) {
+        Some(n) if n >= 1 => n,
+        _ => std::thread::available_parallelism().map_or(1, |n| n.get()),
+    };
+    let _ = rayon::ThreadPoolBuilder::new().num_threads(workers).build_global();
     println!(
-        "sweeping {} networks x {} representations x {} engines ({mode}, seed {:#x})",
+        "sweeping {} networks x {} representations x {} engines (seed {:#x})",
         cfg.networks.len(),
         cfg.representations.len(),
         sweep::engine_labels(Representation::Fixed16).len(),
